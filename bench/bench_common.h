@@ -182,8 +182,11 @@ inline void set_common_header(JsonMetrics& json, const char* bench_name) {
   // Numbers measured under injection must never masquerade as clean
   // baselines, so every bench stamps this, not just bench_chaos.
   json.set("failpoints", failpoint::active_spec());
+  // Abbreviated HEAD hash, suffixed "-dirty" when tracked files differ from
+  // it — a run from an uncommitted tree must not pass for the committed one.
   std::string rev = "unknown";
-  if (FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+  if (FILE* p = ::popen("git describe --always --dirty --abbrev=7 --exclude='*' 2>/dev/null",
+                        "r")) {
     char buf[64];
     if (std::fgets(buf, sizeof buf, p) != nullptr) {
       std::string line(buf);

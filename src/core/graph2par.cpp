@@ -34,12 +34,13 @@ Graph2ParModel::Graph2ParModel(const Graph2ParConfig& config, Rng& rng)
   }
 }
 
-Tensor Graph2ParModel::node_features(const HetGraph& graph) const {
+Tensor Graph2ParModel::node_features(const HetGraph& graph, const HetGraphIndex& index) const {
   std::vector<int> types, tokens, positions;
   types.reserve(graph.nodes.size());
   tokens.reserve(graph.nodes.size());
   positions.reserve(graph.nodes.size());
-  for (const auto& node : graph.nodes) {
+  for (const int v : index.node_of_slot) {
+    const auto& node = graph.nodes[static_cast<std::size_t>(v)];
     types.push_back(static_cast<int>(node.type));
     tokens.push_back(node.token_id < config_.vocab_size ? node.token_id : 0);
     positions.push_back(std::min(node.position, config_.max_position - 1));
@@ -49,9 +50,18 @@ Tensor Graph2ParModel::node_features(const HetGraph& graph) const {
 }
 
 Tensor Graph2ParModel::encode(const BatchedGraph& batch) const {
-  const Tensor features = node_features(batch.merged);
-  const Tensor states = encoder_.forward(features, batch.index);
-  return segment_mean_rows(states, batch.segment_of_node, batch.num_graphs);
+  // The whole encode stays in the index's slot order: embeddings are looked
+  // up slot by slot, the encoder runs without permuting rows, and the
+  // readout pools by each slot's segment.
+  const HetGraphIndex& index = batch.index;
+  const Tensor features = node_features(batch.merged, index);
+  const Tensor states = encoder_.forward_slots(features, index);
+  std::vector<int> segment_of_slot;
+  segment_of_slot.reserve(index.node_of_slot.size());
+  for (const int v : index.node_of_slot) {
+    segment_of_slot.push_back(batch.segment_of_node[static_cast<std::size_t>(v)]);
+  }
+  return segment_mean_rows(states, segment_of_slot, batch.num_graphs);
 }
 
 Tensor Graph2ParModel::encode(const HetGraph& graph) const {

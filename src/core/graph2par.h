@@ -44,12 +44,15 @@ class Graph2ParModel : public Module {
  public:
   Graph2ParModel(const Graph2ParConfig& config, Rng& rng);
 
-  /// Initial node features from the heterogeneous attributes.
-  Tensor node_features(const HetGraph& graph) const;
+  /// Initial node features from the heterogeneous attributes, one row per
+  /// slot of `index` (the HetGraphIndex of `graph`): row s describes node
+  /// index.node_of_slot[s].
+  Tensor node_features(const HetGraph& graph, const HetGraphIndex& index) const;
 
   /// Pooled graph representations [num_graphs, dim] for a batched graph.
-  /// The batch's precomputed CSR index drives every HGT layer; the readout
-  /// is a segment-mean keyed by `segment_of_node` (empty graphs pool to 0).
+  /// The batch's precomputed CSR index drives every HGT layer in its slot
+  /// order; the readout is a segment-mean keyed by each slot's
+  /// `segment_of_node` entry (empty graphs pool to 0).
   Tensor encode(const BatchedGraph& batch) const;
 
   /// Single-graph convenience wrapper -> pooled [1, dim].

@@ -7,67 +7,76 @@ namespace g2p {
 HetGraphIndex::HetGraphIndex(const HetGraph& graph) {
   num_nodes = graph.num_nodes();
   num_edges = graph.num_edges();
-  per_edge_type.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
+  const auto n_sz = static_cast<std::size_t>(num_nodes);
+
+  // Slots: stable counting sort of the nodes by type.
+  type_offset.assign(static_cast<std::size_t>(kNumHetNodeTypes) + 1, 0);
+  for (const auto& node : graph.nodes) ++type_offset[static_cast<std::size_t>(node.type) + 1];
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    type_offset[static_cast<std::size_t>(t) + 1] += type_offset[static_cast<std::size_t>(t)];
+  }
+  node_of_slot.resize(n_sz);
+  slot_of_node.resize(n_sz);
+  {
+    std::vector<int> next(type_offset.begin(), type_offset.end() - 1);
+    for (int i = 0; i < num_nodes; ++i) {
+      const int s = next[static_cast<std::size_t>(graph.nodes[static_cast<std::size_t>(i)].type)]++;
+      node_of_slot[static_cast<std::size_t>(s)] = i;
+      slot_of_node[static_cast<std::size_t>(i)] = s;
+    }
+  }
   rows_of_type.resize(static_cast<std::size_t>(kNumHetNodeTypes));
-
-  for (int i = 0; i < num_nodes; ++i) {
-    rows_of_type[static_cast<std::size_t>(graph.nodes[static_cast<std::size_t>(i)].type)]
-        .push_back(i);
-  }
-  nodes_by_type.reserve(static_cast<std::size_t>(num_nodes));
-  for (const auto& rows : rows_of_type) {
-    for (int v : rows) nodes_by_type.push_back(v);
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    auto& rows = rows_of_type[static_cast<std::size_t>(t)];
+    for (int s = type_offset[static_cast<std::size_t>(t)];
+         s < type_offset[static_cast<std::size_t>(t) + 1]; ++s) {
+      rows.push_back(s);
+    }
   }
 
-  // Pass 1: count incoming edges per (edge type, destination).
-  for (auto& slice : per_edge_type) {
-    slice.row_offsets.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  }
+  // Pass 1: count incoming edges per (edge type, destination slot).
+  per_edge_type.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
+  for (auto& slice : per_edge_type) slice.row_offsets.assign(n_sz + 1, 0);
   for (const auto& e : graph.edges) {
     if (e.src < 0 || e.src >= num_nodes || e.dst < 0 || e.dst >= num_nodes) {
       throw std::invalid_argument("HetGraphIndex: edge endpoint out of range");
     }
     ++per_edge_type[static_cast<std::size_t>(e.type)]
-          .row_offsets[static_cast<std::size_t>(e.dst) + 1];
+          .row_offsets[static_cast<std::size_t>(slot_of_node[static_cast<std::size_t>(e.dst)]) + 1];
   }
   int concat_offset = 0;
   for (auto& slice : per_edge_type) {
-    for (int v = 0; v < num_nodes; ++v) {
-      slice.row_offsets[static_cast<std::size_t>(v) + 1] +=
-          slice.row_offsets[static_cast<std::size_t>(v)];
-    }
-    const int count = slice.row_offsets[static_cast<std::size_t>(num_nodes)];
+    for (std::size_t v = 0; v < n_sz; ++v) slice.row_offsets[v + 1] += slice.row_offsets[v];
+    const int count = slice.row_offsets[n_sz];
     slice.src.resize(static_cast<std::size_t>(count));
     slice.dst.resize(static_cast<std::size_t>(count));
     slice.concat_offset = concat_offset;
     concat_offset += count;
   }
 
-  // Pass 2: stable scatter into CSR order (insertion order kept per node).
+  // Pass 2: stable scatter into CSR order (insertion order kept per
+  // destination), filling the type-major concat arrays alongside.
+  dst_concat.resize(static_cast<std::size_t>(num_edges));
+  meta_concat.resize(static_cast<std::size_t>(num_edges));
   std::vector<std::vector<int>> cursor(per_edge_type.size());
   for (std::size_t t = 0; t < per_edge_type.size(); ++t) {
     cursor[t].assign(per_edge_type[t].row_offsets.begin(),
                      per_edge_type[t].row_offsets.end() - 1);
   }
   for (const auto& e : graph.edges) {
-    const auto t = static_cast<std::size_t>(e.type);
-    const int pos = cursor[t][static_cast<std::size_t>(e.dst)]++;
-    per_edge_type[t].src[static_cast<std::size_t>(pos)] = e.src;
-    per_edge_type[t].dst[static_cast<std::size_t>(pos)] = e.dst;
-  }
-
-  dst_concat.reserve(static_cast<std::size_t>(num_edges));
-  meta_concat.reserve(static_cast<std::size_t>(num_edges));
-  for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-    const auto& slice = per_edge_type[static_cast<std::size_t>(et)];
-    for (int i = 0; i < slice.size(); ++i) {
-      const int src = slice.src[static_cast<std::size_t>(i)];
-      const int dst = slice.dst[static_cast<std::size_t>(i)];
-      dst_concat.push_back(dst);
-      const int src_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(src)].type);
-      const int dst_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(dst)].type);
-      meta_concat.push_back((src_type * kNumHetEdgeTypes + et) * kNumHetNodeTypes + dst_type);
-    }
+    const auto et = static_cast<std::size_t>(e.type);
+    const int src = slot_of_node[static_cast<std::size_t>(e.src)];
+    const int dst = slot_of_node[static_cast<std::size_t>(e.dst)];
+    auto& slice = per_edge_type[et];
+    const auto pos = static_cast<std::size_t>(cursor[et][static_cast<std::size_t>(dst)]++);
+    slice.src[pos] = src;
+    slice.dst[pos] = dst;
+    const auto edge = static_cast<std::size_t>(slice.concat_offset) + pos;
+    dst_concat[edge] = dst;
+    const int src_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(e.src)].type);
+    const int dst_type = static_cast<int>(graph.nodes[static_cast<std::size_t>(e.dst)].type);
+    meta_concat[edge] =
+        (src_type * kNumHetEdgeTypes + static_cast<int>(et)) * kNumHetNodeTypes + dst_type;
   }
 }
 

@@ -52,24 +52,6 @@ bool fused_env_enabled() {
   return enabled;
 }
 
-/// One node type's projection stage: gather the type's rows of the [*, dim]
-/// source buffer into contiguous scratch, multiply by the cached [dim,
-/// out_cols] operand (pool-parallel row panels). Callers scatter `projected`
-/// back to node order with their own epilogue (bias / residual folds).
-void project_type_rows(const float* src, int dim, const std::vector<int>& rows,
-                       const float* weights, int out_cols, ThreadPool* pool,
-                       FloatVec& gathered, FloatVec& projected) {
-  const auto dim_sz = static_cast<std::size_t>(dim);
-  const int rt = static_cast<int>(rows.size());
-  gathered.resize(static_cast<std::size_t>(rt) * dim_sz);
-  for (int r = 0; r < rt; ++r) {
-    std::copy_n(src + static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz,
-                dim_sz, gathered.data() + static_cast<std::size_t>(r) * dim_sz);
-  }
-  projected.resize(static_cast<std::size_t>(rt) * out_cols);
-  backend::matmul_mt(gathered.data(), weights, projected.data(), rt, dim, out_cols, pool);
-}
-
 /// Int8 image of one edge type's fused head blocks: `heads` [hd, hd]
 /// matrices back to back, each quantized per output column, with the
 /// scale/zcomp arrays concatenated to length heads*hd so dequant indexes
@@ -96,8 +78,8 @@ void quantize_head_blocks(const FloatVec& blocks, int heads, int hd,
 }
 
 /// Quantize a set of [*, dim] rows (selected by `rows`, or all n rows when
-/// `rows` is null) straight out of the source buffer — the int8 path's
-/// gather and quantize are one pass, no float scratch. Sizes the outputs,
+/// `rows` is null) straight out of the source buffer — a row selection and
+/// the quantization are one pass, no float scratch. Sizes the outputs,
 /// then dispatches the scan/round work to Kernels::quantize_rows.
 void quantize_rows(const float* src, int dim, const std::vector<int>* rows, int n,
                    backend::detail::U8Vec& qa, FloatVec& scales, FloatVec& zeros) {
@@ -168,17 +150,14 @@ HgtLayer::HgtLayer(int dim, int heads, Rng& rng)
 Tensor HgtLayer::per_type_projection(const Tensor& x, const HetGraphIndex& index,
                                      const std::vector<std::unique_ptr<Linear>>& lins) const {
   const int n = index.num_nodes;
-  std::vector<Tensor> parts;  // projected rows, type-major order
+  std::vector<Tensor> parts;  // projected rows, type-major = slot order
   for (int t = 0; t < kNumHetNodeTypes; ++t) {
     const auto& rows = index.rows_of_type[static_cast<std::size_t>(t)];
     if (rows.empty()) continue;
     parts.push_back(lins[static_cast<std::size_t>(t)]->forward(index_select_rows(x, rows)));
   }
   if (parts.empty()) return Tensor::zeros({n, dim_});
-  // One fused scatter-on-write pass places the per-type blocks back into
-  // node order — cheaper than per-type scatter-add chains over full
-  // [N, dim] buffers or a concat followed by a gather.
-  return concat_rows_to(parts, index.nodes_by_type);
+  return concat_rows(parts);
 }
 
 Tensor HgtLayer::forward(const Tensor& x, const HetGraphIndex& index) const {
@@ -387,10 +366,10 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const auto& kern = backend::active();
   const auto fused = fused_weights();
   // Int8 serving: every projection GEMM goes through Kernels::gemm_s8 on
-  // the cached weight repacks — activations quantized per row during the
-  // gather, fp32 dequant folded into the same bias/residual scatters the
-  // fp32 path uses. The edge phases (logits, softmax, accumulate,
-  // normalize) are precision-invariant and shared.
+  // the cached weight repacks — activations quantized per row, fp32 dequant
+  // folded into the same bias/residual pass the fp32 path uses. The edge
+  // phases (logits, softmax, accumulate, normalize) are precision-invariant
+  // and shared.
   const bool int8 = resolve_precision(precision_) == Precision::kInt8;
   // G2P_HGT_PROFILE (docs/tuning.md): per-stage wall times to stderr, one
   // line per stage per layer forward. Dev-only instrumentation for placing
@@ -406,68 +385,70 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     tp = now;
   };
 
-  // Fused projection stage: per node type, one wide [rows, dim] x
-  // [dim, 3*dim] GEMM against the cached K|Q|V repack computes all three
-  // projections of the type's rows at once — one packed-operand GEMM (with
-  // matmul_mt row panels on the configured pool) instead of three taped
-  // square matmuls and their gather/concat tensors. The bias folds into the
-  // scatter pass that places rows back into node order.
+  // Every buffer below is in slot order (hetgraph_index.h): node type τ owns
+  // the contiguous rows [type_offset[τ], type_offset[τ+1]), so each per-type
+  // projection reads its input and writes its output in place — no gather,
+  // no scatter.
   const std::size_t dim_sz = static_cast<std::size_t>(dim_);
-  const std::size_t row_elems = static_cast<std::size_t>(index.num_nodes) * dim_sz;
-  FloatVec k_all(row_elems), q_all(row_elems), v_all(row_elems);
-  {
-    FloatVec gathered, projected;
-    backend::detail::U8Vec qa;
-    FloatVec a_scale, a_zero;
-    backend::detail::I32Vec acc;
-    ThreadPool* pool = pool_.get();
-    const float* xdata = x.data().data();
-    for (int t = 0; t < kNumHetNodeTypes; ++t) {
-      const auto ts = static_cast<std::size_t>(t);
-      const auto& rows = index.rows_of_type[ts];
-      if (rows.empty()) continue;
-      const int rt = static_cast<int>(rows.size());
-      const float* bias = fused->kqv_b[ts].data();
-      if (int8) {
-        // Quantize straight out of x (the gather and the row quantizer are
-        // one pass), integer GEMM, dequantize in the scatter.
-        quantize_rows(xdata, dim_, &rows, n, qa, a_scale, a_zero);
-        acc.resize(static_cast<std::size_t>(rt) * 3 * dim_sz);
-        backend::gemm_s8_mt(qa.data(), dim_, fused->kqv_q[ts].q.data(), acc.data(),
-                            3 * dim_, rt, dim_, 3 * dim_, pool);
-        const float* wsc = fused->kqv_q[ts].scale.data();
-        const float* wzc = fused->kqv_q[ts].zcomp.data();
-        for (int r = 0; r < rt; ++r) {
-          const std::int32_t* prow = acc.data() + static_cast<std::size_t>(r) * 3 * dim_sz;
-          const float sa = a_scale[static_cast<std::size_t>(r)];
-          const float za = a_zero[static_cast<std::size_t>(r)];
-          const std::size_t node =
-              static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-          dequant_row(prow, wsc, wzc, sa, za, dim_, k_all.data() + node, bias);
-          dequant_row(prow + dim_, wsc + dim_, wzc + dim_, sa, za, dim_,
-                      q_all.data() + node, bias + dim_);
-          dequant_row(prow + 2 * dim_, wsc + 2 * dim_, wzc + 2 * dim_, sa, za, dim_,
-                      v_all.data() + node, bias + 2 * dim_);
-        }
-        continue;
-      }
-      project_type_rows(xdata, dim_, rows, fused->kqv_w[ts].data(), 3 * dim_, pool, gathered,
-                        projected);
+  const int ld = 3 * dim_;  // row stride of the interleaved K|Q|V buffer
+  const std::size_t row_elems = static_cast<std::size_t>(n) * dim_sz;
+  const float* xdata = x.data().data();
+  ThreadPool* const pool = pool_.get();
+  backend::detail::U8Vec qa;
+  FloatVec a_scale, a_zero;
+  backend::detail::I32Vec acc;
+  // One node type's projection: its `rt` contiguous [dim] rows at `in`
+  // times the cached [dim, cols] operand, written in place to `out` (row
+  // stride cols), with `bias` added in the same pass and, when `res` is set,
+  // the residual rows at `res` (same stride) as well.
+  const auto project = [&](const float* in, int rt, const FloatVec& w,
+                           const backend::detail::QuantOperand& wq, const FloatVec& bias,
+                           int cols, float* out, const float* res) {
+    const auto cols_sz = static_cast<std::size_t>(cols);
+    const float* b = bias.data();
+    if (int8) {
+      quantize_rows(in, dim_, nullptr, rt, qa, a_scale, a_zero);
+      acc.resize(static_cast<std::size_t>(rt) * cols_sz);
+      backend::gemm_s8_mt(qa.data(), dim_, wq.q.data(), acc.data(), cols, rt, dim_, cols, pool);
       for (int r = 0; r < rt; ++r) {
-        const float* prow = projected.data() + static_cast<std::size_t>(r) * 3 * dim_sz;
-        const std::size_t node =
-            static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-        float* krow = k_all.data() + node;
-        float* qrow = q_all.data() + node;
-        float* vrow = v_all.data() + node;
-        for (int j = 0; j < dim_; ++j) {
-          krow[j] = prow[j] + bias[j];
-          qrow[j] = prow[dim_ + j] + bias[dim_ + j];
-          vrow[j] = prow[2 * dim_ + j] + bias[2 * dim_ + j];
-        }
+        const std::size_t row = static_cast<std::size_t>(r) * cols_sz;
+        dequant_row(acc.data() + row, wq.scale.data(), wq.zcomp.data(),
+                    a_scale[static_cast<std::size_t>(r)], a_zero[static_cast<std::size_t>(r)],
+                    cols, out + row, b, res != nullptr ? res + row : nullptr);
+      }
+      return;
+    }
+    backend::matmul_mt(in, w.data(), out, rt, dim_, cols, pool);
+    for (int r = 0; r < rt; ++r) {
+      float* orow = out + static_cast<std::size_t>(r) * cols_sz;
+      if (res != nullptr) {
+        const float* rrow = res + static_cast<std::size_t>(r) * cols_sz;
+        for (int j = 0; j < cols; ++j) orow[j] = orow[j] + b[j] + rrow[j];
+      } else {
+        for (int j = 0; j < cols; ++j) orow[j] += b[j];
       }
     }
+  };
+
+  // Fused projection stage: per node type, one wide [rows, dim] x
+  // [dim, 3*dim] GEMM against the cached K|Q|V repack computes all three
+  // projections of the type's rows at once, straight into the type's rows
+  // of the interleaved [n, 3*dim] buffer (row = [K | Q | V]); the bias is
+  // added in one contiguous pass.
+  FloatVec kqv(static_cast<std::size_t>(n) * static_cast<std::size_t>(ld));
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    const int begin = index.type_offset[ts];
+    const int rt = index.type_offset[ts + 1] - begin;
+    if (rt == 0) continue;
+    project(xdata + static_cast<std::size_t>(begin) * dim_sz, rt, fused->kqv_w[ts],
+            fused->kqv_q[ts], fused->kqv_b[ts], ld,
+            kqv.data() + static_cast<std::size_t>(begin) * static_cast<std::size_t>(ld),
+            nullptr);
   }
+  const float* k_all = kqv.data();
+  const float* q_all = kqv.data() + dim_;
+  const float* v_all = kqv.data() + 2 * dim_;
 
   mark("kqv");
   // Density-adaptive weight application per edge type. Dense types (at
@@ -489,7 +470,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     FloatVec k_sc, k_z, v_sc, v_z;
     backend::detail::I32Vec map_acc;
     bool quantized_kv = false;
-    ThreadPool* const pool = pool_.get();
     const std::size_t block = static_cast<std::size_t>(head_dim_) * head_dim_;
     const auto int8_head_map = [&](const backend::detail::U8Vec& qrows, const FloatVec& rsc,
                                    const FloatVec& rz,
@@ -516,8 +496,13 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       v_map[e].resize(row_elems);
       if (int8) {
         if (!quantized_kv) {
-          quantize_rows(k_all.data(), dim_, nullptr, n, qk, k_sc, k_z);
-          quantize_rows(v_all.data(), dim_, nullptr, n, qv, v_sc, v_z);
+          // Row i of the interleaved buffer is row 3*i in units of dim: the
+          // row quantizer reads K (and, offset by 2*dim, V) through that
+          // index without a copy.
+          std::vector<int> kqv_rows(static_cast<std::size_t>(n));
+          for (int i = 0; i < n; ++i) kqv_rows[static_cast<std::size_t>(i)] = 3 * i;
+          quantize_rows(k_all, dim_, &kqv_rows, n, qk, k_sc, k_z);
+          quantize_rows(v_all, dim_, &kqv_rows, n, qv, v_sc, v_z);
           map_acc.resize(row_elems);
           quantized_kv = true;
         }
@@ -525,22 +510,21 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
         int8_head_map(qv, v_sc, v_z, fused->msg_q[e], v_map[e]);
         continue;
       }
-      kern.head_map(k_all.data(), fused->att[e].data(), k_map[e].data(), n, heads_,
-                    head_dim_);
-      kern.head_map(v_all.data(), fused->msg[e].data(), v_map[e].data(), n, heads_,
-                    head_dim_);
+      kern.head_map(k_all, ld, fused->att[e].data(), k_map[e].data(), n, heads_, head_dim_);
+      kern.head_map(v_all, ld, fused->msg[e].data(), v_map[e].data(), n, heads_, head_dim_);
     }
   }
 
   mark("maps");
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const float* mu = mu_.data().data();
-  const float* q = q_all.data();
   const int* meta = index.meta_concat.data();
 
   // Edge-blocked pass, one backend call per edge type per phase (the CSR
   // blocks are dst-sorted, so per-node accumulation order stays type-major
-  // and matches the reference segment ops):
+  // and matches the reference segment ops). K, Q and V are read in place
+  // from the interleaved buffer (row stride 3*dim); pre-mapped rows have
+  // stride dim:
   //   phase 1 (hgt_logits)     — all-head logits with the µ prior applied,
   //                              streaming the per-(destination, head) max
   //                              (the online-softmax max, shared across
@@ -550,7 +534,8 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   //                              scatter weighted messages straight into
   //                              the [N, dim] output;
   //   phase 3 (below)          — normalize each head block by its
-  //                              denominator.
+  //                              denominator and apply σ = GELU to the row
+  //                              while it is still in L1.
   // The only edge-shaped scratch is the [E, heads] logit buffer — no
   // [E, head_dim] message/gather tensors, no per-head concats.
   FloatVec h_tilde(row_elems, 0.0f);
@@ -564,11 +549,11 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     if (slice.empty()) continue;
     float* block = logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
     if (k_map[e].empty()) {
-      kern.hgt_logits_direct(k_all.data(), q, fused->att[e].data(), slice.src.data(),
+      kern.hgt_logits_direct(k_all, ld, q_all, ld, fused->att[e].data(), slice.src.data(),
                              slice.dst.data(), meta + slice.concat_offset, mu, slice.size(),
                              heads_, head_dim_, inv_sqrt_d, block, node_max.data());
     } else {
-      kern.hgt_logits(k_map[e].data(), q, slice.src.data(), slice.dst.data(),
+      kern.hgt_logits(k_map[e].data(), dim_, q_all, ld, slice.src.data(), slice.dst.data(),
                       meta + slice.concat_offset, mu, slice.size(), heads_, head_dim_,
                       inv_sqrt_d, block, node_max.data());
     }
@@ -581,18 +566,18 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const float* block =
         logits.data() + static_cast<std::size_t>(slice.concat_offset) * heads_;
     if (v_map[e].empty()) {
-      kern.hgt_accumulate_direct(v_all.data(), fused->msg[e].data(), slice.src.data(),
+      kern.hgt_accumulate_direct(v_all, ld, fused->msg[e].data(), slice.src.data(),
                                  slice.dst.data(), slice.size(), block, node_max.data(),
                                  heads_, head_dim_, h_tilde.data(), denom.data());
     } else {
-      kern.hgt_accumulate(v_map[e].data(), slice.src.data(), slice.dst.data(), slice.size(),
-                          block, node_max.data(), heads_, head_dim_, h_tilde.data(),
-                          denom.data());
+      kern.hgt_accumulate(v_map[e].data(), dim_, slice.src.data(), slice.dst.data(),
+                          slice.size(), block, node_max.data(), heads_, head_dim_,
+                          h_tilde.data(), denom.data());
     }
   }
   mark("accum");
   for (int v = 0; v < n; ++v) {
-    float* out_row = h_tilde.data() + static_cast<std::size_t>(v) * dim_;
+    float* out_row = h_tilde.data() + static_cast<std::size_t>(v) * dim_sz;
     const float* drow = denom.data() + static_cast<std::size_t>(v) * heads_;
     for (int h = 0; h < heads_; ++h) {
       // Isolated targets have denom 0 and an all-zero row; the clamped
@@ -602,57 +587,23 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
       float* oh = out_row + h * head_dim_;
       for (int j = 0; j < head_dim_; ++j) oh[j] *= inv;
     }
+    kern.gelu(out_row, out_row, dim_);
   }
+  mark("norm_gelu");
 
-  // Formula 5 on raw buffers: σ(H~) through the backend GELU (in place),
-  // then the per-target-type A-Linear as one cached-operand GEMM per node
-  // type — the A block lives in the same repack as K|Q|V but applies here,
-  // to the activated aggregate — with bias and residual folded into the
-  // scatter back to node order.
-  mark("norm");
-  kern.gelu(h_tilde.data(), h_tilde.data(), static_cast<int>(row_elems));
-  mark("gelu");
+  // Formula 5: the per-target-type A-Linear as one cached-operand GEMM per
+  // node type over the activated aggregate — the A block lives in the same
+  // repack as K|Q|V but applies here — written in place into the type's
+  // rows of y, with bias and residual folded into one pass.
   FloatVec y(row_elems);
-  {
-    FloatVec gathered, projected;
-    backend::detail::U8Vec qa;
-    FloatVec a_scale, a_zero;
-    backend::detail::I32Vec acc;
-    ThreadPool* pool = pool_.get();
-    const float* xdata = x.data().data();
-    for (int t = 0; t < kNumHetNodeTypes; ++t) {
-      const auto ts = static_cast<std::size_t>(t);
-      const auto& rows = index.rows_of_type[ts];
-      if (rows.empty()) continue;
-      const int rt = static_cast<int>(rows.size());
-      const float* bias = fused->a_b[ts].data();
-      if (int8) {
-        quantize_rows(h_tilde.data(), dim_, &rows, n, qa, a_scale, a_zero);
-        acc.resize(static_cast<std::size_t>(rt) * dim_sz);
-        backend::gemm_s8_mt(qa.data(), dim_, fused->a_q[ts].q.data(), acc.data(), dim_, rt,
-                            dim_, dim_, pool);
-        const float* wsc = fused->a_q[ts].scale.data();
-        const float* wzc = fused->a_q[ts].zcomp.data();
-        for (int r = 0; r < rt; ++r) {
-          const std::size_t node =
-              static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-          dequant_row(acc.data() + static_cast<std::size_t>(r) * dim_sz, wsc, wzc,
-                      a_scale[static_cast<std::size_t>(r)], a_zero[static_cast<std::size_t>(r)],
-                      dim_, y.data() + node, bias, xdata + node);
-        }
-        continue;
-      }
-      project_type_rows(h_tilde.data(), dim_, rows, fused->a_w[ts].data(), dim_, pool,
-                        gathered, projected);
-      for (int r = 0; r < rt; ++r) {
-        const float* prow = projected.data() + static_cast<std::size_t>(r) * dim_sz;
-        const std::size_t node =
-            static_cast<std::size_t>(rows[static_cast<std::size_t>(r)]) * dim_sz;
-        const float* xrow = xdata + node;
-        float* yrow = y.data() + node;
-        for (int j = 0; j < dim_; ++j) yrow[j] = prow[j] + bias[j] + xrow[j];
-      }
-    }
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    const int begin = index.type_offset[ts];
+    const int rt = index.type_offset[ts + 1] - begin;
+    if (rt == 0) continue;
+    const std::size_t off = static_cast<std::size_t>(begin) * dim_sz;
+    project(h_tilde.data() + off, rt, fused->a_w[ts], fused->a_q[ts], fused->a_b[ts], dim_,
+            y.data() + off, xdata + off);
   }
   mark("a_stage");
   return make_result({n, dim_}, std::move(y), {}, nullptr);
@@ -668,6 +619,14 @@ HgtEncoder::HgtEncoder(int dim, int heads, int layers, Rng& rng) {
 }
 
 Tensor HgtEncoder::forward(const Tensor& x, const HetGraphIndex& index) const {
+  if (x.dim(0) != index.num_nodes) {
+    throw std::invalid_argument("HgtEncoder::forward: state shape mismatch");
+  }
+  const Tensor out = forward_slots(index_select_rows(x, index.node_of_slot), index);
+  return index_select_rows(out, index.slot_of_node);
+}
+
+Tensor HgtEncoder::forward_slots(const Tensor& x, const HetGraphIndex& index) const {
   // Failpoint: a forward-stage fault fails the whole encode call — in the
   // batched serving path that is a batch-level error the scheduler's retry
   // ladder classifies as transient. delay() here models a slow forward.

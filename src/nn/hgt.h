@@ -36,8 +36,9 @@ class ThreadPool;
 /// is numerically identical to the pre-quantization fused kernel; kInt8
 /// routes every projection GEMM through the quantized Kernels::gemm_s8
 /// contract (gemm_s8.h): dynamic asymmetric per-row activation quantization
-/// fused into the gather, cached symmetric per-output-channel int8 weight
-/// repacks, fp32 dequantization folded into the bias/residual scatters.
+/// of each node type's contiguous rows, cached symmetric per-output-channel
+/// int8 weight repacks, fp32 dequantization folded into the bias/residual
+/// pass.
 /// Training and the taped reference path always run fp32 regardless.
 enum class Precision { kFp32, kInt8 };
 
@@ -54,7 +55,11 @@ class HgtLayer : public Module {
 
   /// One round of heterogeneous message passing over a precomputed CSR
   /// index (single graph or disjoint batch union — the math is identical).
-  /// `x`: [N, dim] node states. Nodes with no incoming edges keep their
+  /// `x`: [N, dim] node states in the index's slot order (hetgraph_index.h:
+  /// row s is node index.node_of_slot[s]); the result is in the same order.
+  /// Every HgtLayer entry point uses this row order — it is what lets each
+  /// per-type projection run as one contiguous GEMM. HgtEncoder::forward
+  /// is the node-order entry point. Nodes with no incoming edges keep their
   /// residual state.
   ///
   /// Routing: under grad (training) this is always the taped reference
@@ -64,22 +69,25 @@ class HgtLayer : public Module {
   /// relative), not bitwise.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Single-graph convenience wrapper: indexes `graph` and forwards.
-  /// Callers running several layers should index once and use the overload
-  /// above (HgtEncoder does).
+  /// Single-graph convenience wrapper: indexes `graph` and forwards; `x` is
+  /// in the slot order of HetGraphIndex(graph) (node order when the graph's
+  /// nodes are already sorted by type). Callers running several layers
+  /// should index once and use the overload above (HgtEncoder does).
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
 
   /// The taped per-head implementation (formulas 2-5 op by op). Doubles as
   /// the equivalence oracle for the fused kernel.
   Tensor forward_reference(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Fused inference kernel: cached block-diagonal W_ATT/W_MSG fusions per
-  /// edge type (applied as one N-row head_map pass for dense types, or per
-  /// edge in registers for sparse ones), then an edge-blocked pass over the
-  /// per-edge-type CSR that computes all-head logits, applies the µ prior,
-  /// runs a streaming-max online segment softmax per destination, and
-  /// scatters weighted messages straight into the [N, dim] output — no
-  /// [E, head_dim] intermediates, no per-head gather/concat tensors. Always
+  /// Fused inference kernel: one contiguous K|Q|V GEMM per node type into
+  /// an interleaved [N, 3*dim] buffer, cached block-diagonal W_ATT/W_MSG
+  /// fusions per edge type (applied as one N-row head_map pass for dense
+  /// types, or per edge in registers for sparse ones), then an edge-blocked
+  /// pass over the per-edge-type CSR that computes all-head logits, applies
+  /// the µ prior, runs a streaming-max online segment softmax per
+  /// destination, and scatters weighted messages straight into the [N, dim]
+  /// output — no [E, head_dim] intermediates, no per-head gather/concat
+  /// tensors, no per-type row gathers or scatters. Always
   /// runs under NoGradGuard (the result carries no tape). The fused weight
   /// cache rebuilds automatically when parameters mutate (optimizer step,
   /// checkpoint load — keyed on tensor mutation versions).
@@ -167,8 +175,8 @@ class HgtLayer : public Module {
   Precision precision_ = Precision::kFp32;
   std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
-  /// Apply the per-type linear `lins[type]` to the rows of each type and
-  /// reassemble a full [N, dim] tensor.
+  /// Apply the per-type linear `lins[type]` to the rows of each type (slot
+  /// ranges) and reassemble a full [N, dim] tensor in slot order.
   Tensor per_type_projection(const Tensor& x, const HetGraphIndex& index,
                              const std::vector<std::unique_ptr<Linear>>& lins) const;
 };
@@ -179,10 +187,19 @@ class HgtEncoder : public Module {
   HgtEncoder(int dim, int heads, int layers, Rng& rng);
 
   /// Run all layers over one precomputed index (built once per batch).
+  /// `x` and the result are in node order: row i is node i. Gathers `x`
+  /// into slot order, runs forward_slots, and maps the result back.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
-  /// Single-graph convenience wrapper: indexes `graph` once, then forwards.
+  /// Single-graph convenience wrapper: indexes `graph` once, then forwards
+  /// (node order in and out).
   Tensor forward(const Tensor& x, const HetGraph& graph) const;
+
+  /// The layer stack in the index's slot order (see HgtLayer::forward) —
+  /// for callers that build their input in slot order and read the result
+  /// that way (Graph2ParModel::encode gathers its embeddings by slot and
+  /// pools by slot), skipping forward()'s two row permutations.
+  Tensor forward_slots(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Propagate fused-inference routing to every layer (see HgtLayer).
   void set_fused_inference(bool enabled);

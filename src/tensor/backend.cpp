@@ -258,11 +258,11 @@ void scalar_quantize_rows(const float* src, const int* rows, int count, int dim,
 /// All heads of one row in registers: the head blocks are independent, so a
 /// compile-time head width lets every block's accumulator vectorize.
 template <int HD>
-void head_map_fixed(const float* __restrict x, const float* __restrict w,
+void head_map_fixed(const float* __restrict x, int ldx, const float* __restrict w,
                     float* __restrict out, int n, int heads) {
   const int dim = heads * HD;
   for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
+    const float* xrow = x + static_cast<std::size_t>(i) * ldx;
     float* orow = out + static_cast<std::size_t>(i) * dim;
     for (int h = 0; h < heads; ++h) {
       float acc[HD] = {};
@@ -279,17 +279,18 @@ void head_map_fixed(const float* __restrict x, const float* __restrict w,
   }
 }
 
-void scalar_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
+void scalar_head_map(const float* x, int ldx, const float* w, float* out, int n, int heads,
+                     int hd) {
   switch (hd) {
-    case 2: return head_map_fixed<2>(x, w, out, n, heads);
-    case 4: return head_map_fixed<4>(x, w, out, n, heads);
-    case 8: return head_map_fixed<8>(x, w, out, n, heads);
-    case 16: return head_map_fixed<16>(x, w, out, n, heads);
+    case 2: return head_map_fixed<2>(x, ldx, w, out, n, heads);
+    case 4: return head_map_fixed<4>(x, ldx, w, out, n, heads);
+    case 8: return head_map_fixed<8>(x, ldx, w, out, n, heads);
+    case 16: return head_map_fixed<16>(x, ldx, w, out, n, heads);
     default: break;
   }
   const int dim = heads * hd;
   for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
+    const float* xrow = x + static_cast<std::size_t>(i) * ldx;
     float* orow = out + static_cast<std::size_t>(i) * dim;
     for (int h = 0; h < heads; ++h) {
       const float* xh = xrow + h * hd;
@@ -318,13 +319,12 @@ void scalar_row_dot(const float* a, const float* b, float* out, int n, int d) {
   }
 }
 
-void scalar_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                       const int* metas, const float* mu, int count, int heads, int hd,
-                       float scale, float* logits, float* node_max) {
-  const int dim = heads * hd;
+void scalar_hgt_logits(const float* k_map, int ldk, const float* q, int ldq, const int* srcs,
+                       const int* dsts, const int* metas, const float* mu, int count, int heads,
+                       int hd, float scale, float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     const float mu_e = mu[metas[p]];
     float* lrow = logits + static_cast<std::size_t>(p) * heads;
     float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -336,12 +336,12 @@ void scalar_hgt_logits(const float* k_map, const float* q, const int* srcs, cons
   }
 }
 
-void scalar_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                           const float* logits, const float* node_max, int heads, int hd,
-                           float* out, float* denom) {
+void scalar_hgt_accumulate(const float* v_map, int ldv, const int* srcs, const int* dsts,
+                           int count, const float* logits, const float* node_max, int heads,
+                           int hd, float* out, float* denom) {
   const int dim = heads * hd;
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
+    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * ldv;
     const float* lrow = logits + static_cast<std::size_t>(p) * heads;
     const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
     float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
@@ -358,17 +358,16 @@ void scalar_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts,
 
 inline constexpr int kMaxHeadDim = 64;
 
-void scalar_hgt_logits_direct(const float* k_all, const float* q, const float* w_att,
-                              const int* srcs, const int* dsts, const int* metas,
-                              const float* mu, int count, int heads, int hd, float scale,
-                              float* logits, float* node_max) {
-  const int dim = heads * hd;
+void scalar_hgt_logits_direct(const float* k_all, int ldk, const float* q, int ldq,
+                              const float* w_att, const int* srcs, const int* dsts,
+                              const int* metas, const float* mu, int count, int heads, int hd,
+                              float scale, float* logits, float* node_max) {
   float mk_stack[kMaxHeadDim];
   std::vector<float> mk_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
   float* const mk = hd > kMaxHeadDim ? mk_heap.data() : mk_stack;
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     const float mu_e = mu[metas[p]];
     float* lrow = logits + static_cast<std::size_t>(p) * heads;
     float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -388,16 +387,16 @@ void scalar_hgt_logits_direct(const float* k_all, const float* q, const float* w
   }
 }
 
-void scalar_hgt_accumulate_direct(const float* v_all, const float* w_msg, const int* srcs,
-                                  const int* dsts, int count, const float* logits,
-                                  const float* node_max, int heads, int hd, float* out,
-                                  float* denom) {
+void scalar_hgt_accumulate_direct(const float* v_all, int ldv, const float* w_msg,
+                                  const int* srcs, const int* dsts, int count,
+                                  const float* logits, const float* node_max, int heads, int hd,
+                                  float* out, float* denom) {
   const int dim = heads * hd;
   float mv_stack[kMaxHeadDim];
   std::vector<float> mv_heap(hd > kMaxHeadDim ? static_cast<std::size_t>(hd) : 0);
   float* const mv = hd > kMaxHeadDim ? mv_heap.data() : mv_stack;
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * dim;
+    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * ldv;
     const float* lrow = logits + static_cast<std::size_t>(p) * heads;
     const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
     float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
@@ -514,13 +513,12 @@ void neon_row_dot(const float* a, const float* b, float* out, int n, int d) {
   }
 }
 
-void neon_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max) {
-  const int dim = heads * hd;
+void neon_hgt_logits(const float* k_map, int ldk, const float* q, int ldq, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, int heads,
+                     int hd, float scale, float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     const float mu_e = mu[metas[p]];
     float* lrow = logits + static_cast<std::size_t>(p) * heads;
     float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -532,12 +530,12 @@ void neon_hgt_logits(const float* k_map, const float* q, const int* srcs, const 
   }
 }
 
-void neon_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom) {
+void neon_hgt_accumulate(const float* v_map, int ldv, const int* srcs, const int* dsts,
+                         int count, const float* logits, const float* node_max, int heads,
+                         int hd, float* out, float* denom) {
   const int dim = heads * hd;
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
+    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * ldv;
     const float* lrow = logits + static_cast<std::size_t>(p) * heads;
     const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
     float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;
@@ -559,11 +557,12 @@ void neon_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, i
 
 /// Head blocks with hd % 4 == 0: accumulate each block 4 lanes at a time,
 /// broadcasting x along k (ascending, matching the scalar reduction order).
-void neon_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
-  if (hd % 4 != 0) return scalar_head_map(x, w, out, n, heads, hd);
+void neon_head_map(const float* x, int ldx, const float* w, float* out, int n, int heads,
+                   int hd) {
+  if (hd % 4 != 0) return scalar_head_map(x, ldx, w, out, n, heads, hd);
   const int dim = heads * hd;
   for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
+    const float* xrow = x + static_cast<std::size_t>(i) * ldx;
     float* orow = out + static_cast<std::size_t>(i) * dim;
     for (int h = 0; h < heads; ++h) {
       const float* xh = xrow + h * hd;

@@ -93,55 +93,62 @@ struct Kernels {
                         std::uint8_t* qa, float* scales, float* zeros);
 
   /// Block-diagonal per-head map, the fused-HGT weight application:
-  ///   out[i, h*hd + j] = sum_k x[i, h*hd + k] * w[(h*hd + k)*hd + j]
+  ///   out[i, h*hd + j] = sum_k x[i*ldx + h*hd + k] * w[(h*hd + k)*hd + j]
   /// `w` holds `heads` dense [hd, hd] blocks back to back — the cached
   /// per-edge-type fusion of the HGT W_ATT / W_MSG head matrices. One call
-  /// applies every head to every row.
-  void (*head_map)(const float* x, const float* w, float* out, int n, int heads, int hd);
+  /// applies every head to every row. Input rows sit `ldx` floats apart (the
+  /// fused forward reads K or V straight out of its interleaved
+  /// [n, 3*dim] K|Q|V buffer); `out` is a contiguous [n, dim].
+  void (*head_map)(const float* x, int ldx, const float* w, float* out, int n, int heads,
+                   int hd);
 
   /// Fused-HGT attention logits for one edge type's whole CSR block
   /// (`count` edges, all heads, one call):
   ///   logits[p*heads + h] =
-  ///       dot(k_map[srcs[p]*dim + h*hd ..], q[dsts[p]*dim + h*hd ..], hd)
-  ///       * scale * mu[metas[p]]        (dim = heads*hd)
+  ///       dot(k_map[srcs[p]*ldk + h*hd ..], q[dsts[p]*ldq + h*hd ..], hd)
+  ///       * scale * mu[metas[p]]
   /// and node_max[dsts[p]*heads + h] streams the running per-destination
   /// per-head maximum (callers seed it with -inf once per forward — the
-  /// online-softmax max pass, shared across edge types).
-  void (*hgt_logits)(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max);
+  /// online-softmax max pass, shared across edge types). `ldk` / `ldq` are
+  /// the row strides of the two sources (dim for a contiguous [n, dim]
+  /// buffer, 3*dim for rows of the interleaved K|Q|V buffer).
+  void (*hgt_logits)(const float* k_map, int ldk, const float* q, int ldq, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, int heads,
+                     int hd, float scale, float* logits, float* node_max);
 
   /// Fused-HGT weighted message scatter for the same block:
   ///   w = exp(logits[p*heads + h] - node_max[dsts[p]*heads + h]);
   ///   denom[dsts[p]*heads + h] += w;
-  ///   out[dsts[p]*dim + h*hd ..] += w * v_map[srcs[p]*dim + h*hd ..]
-  /// `out` accumulates the un-normalized aggregate; the caller divides by
-  /// denom per (destination, head) afterwards (the online-softmax sum pass).
-  void (*hgt_accumulate)(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom);
+  ///   out[dsts[p]*dim + h*hd ..] += w * v_map[srcs[p]*ldv + h*hd ..]
+  /// `out` (a contiguous [n, dim]) accumulates the un-normalized aggregate;
+  /// the caller divides by denom per (destination, head) afterwards (the
+  /// online-softmax sum pass).
+  void (*hgt_accumulate)(const float* v_map, int ldv, const int* srcs, const int* dsts,
+                         int count, const float* logits, const float* node_max, int heads,
+                         int hd, float* out, float* denom);
 
   /// Sparse-edge-type variant of hgt_logits: instead of reading
   /// pre-mapped rows, applies the cached per-edge-type weight blocks
   /// `w_att` (`heads` dense [hd, hd] blocks) to the source's K row in
   /// registers, per edge:
-  ///   mk[h, :] = k_all[srcs[p]*dim, h*hd ..] · w_att[h]
-  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*dim + h*hd ..])
+  ///   mk[h, :] = k_all[srcs[p]*ldk + h*hd ..] · w_att[h]
+  ///   logits[p*heads + h] = dot(mk[h, :], q[dsts[p]*ldq + h*hd ..])
   ///                         * scale * mu[metas[p]]
   /// Used when an edge type has fewer edges than the graph has nodes, where
   /// the [N, dim] head_map pre-pass would cost more than it saves (and its
   /// buffer would pressure the cache). Same reduction order as head_map.
-  void (*hgt_logits_direct)(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, int heads, int hd, float scale,
-                            float* logits, float* node_max);
+  void (*hgt_logits_direct)(const float* k_all, int ldk, const float* q, int ldq,
+                            const float* w_att, const int* srcs, const int* dsts,
+                            const int* metas, const float* mu, int count, int heads, int hd,
+                            float scale, float* logits, float* node_max);
 
   /// Sparse-edge-type variant of hgt_accumulate: maps the source's V row
-  /// through `w_msg` in registers, then scatters the exp-weighted message.
-  void (*hgt_accumulate_direct)(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, int heads, int hd, float* out,
-                                float* denom);
+  /// (stride `ldv`) through `w_msg` in registers, then scatters the
+  /// exp-weighted message.
+  void (*hgt_accumulate_direct)(const float* v_all, int ldv, const float* w_msg,
+                                const int* srcs, const int* dsts, int count,
+                                const float* logits, const float* node_max, int heads, int hd,
+                                float* out, float* denom);
 
   /// out[i] = dot(a[i,:], b[i,:]) for [n,d] inputs.
   void (*row_dot)(const float* a, const float* b, float* out, int n, int d);

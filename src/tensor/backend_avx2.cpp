@@ -335,10 +335,10 @@ void avx2_quantize_rows(const float* src, const int* rows, int count, int dim,
 
 /// hd == 8: each head block is exactly one YMM accumulator; a row's heads
 /// run back to back so the whole [dim] output row streams out vectorized.
-void head_map_hd8(const float* x, const float* w, float* out, int n, int heads) {
+void head_map_hd8(const float* x, int ldx, const float* w, float* out, int n, int heads) {
   const int dim = heads * 8;
   for (int i = 0; i < n; ++i) {
-    const float* xrow = x + static_cast<std::size_t>(i) * dim;
+    const float* xrow = x + static_cast<std::size_t>(i) * ldx;
     float* orow = out + static_cast<std::size_t>(i) * dim;
     for (int h = 0; h < heads; ++h) {
       const float* xh = xrow + h * 8;
@@ -353,12 +353,13 @@ void head_map_hd8(const float* x, const float* w, float* out, int n, int heads) 
   }
 }
 
-void avx2_head_map(const float* x, const float* w, float* out, int n, int heads, int hd) {
-  if (hd == 8) return head_map_hd8(x, w, out, n, heads);
+void avx2_head_map(const float* x, int ldx, const float* w, float* out, int n, int heads,
+                   int hd) {
+  if (hd == 8) return head_map_hd8(x, ldx, w, out, n, heads);
   if (hd % 8 == 0) {
     const int dim = heads * hd;
     for (int i = 0; i < n; ++i) {
-      const float* xrow = x + static_cast<std::size_t>(i) * dim;
+      const float* xrow = x + static_cast<std::size_t>(i) * ldx;
       float* orow = out + static_cast<std::size_t>(i) * dim;
       for (int h = 0; h < heads; ++h) {
         const float* xh = xrow + h * hd;
@@ -376,7 +377,7 @@ void avx2_head_map(const float* x, const float* w, float* out, int n, int heads,
     }
     return;
   }
-  scalar().head_map(x, w, out, n, heads, hd);
+  scalar().head_map(x, ldx, w, out, n, heads, hd);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,13 +465,13 @@ void avx2_row_dot(const float* a, const float* b, float* out, int n, int d) {
 /// Serving-shape (heads 4, hd 8) direct logits: each head's mapped K row is
 /// built in one YMM register (8 fmadds against the cached weight block, L1
 /// resident), then dotted with Q — no [N, dim] k_map buffer exists at all.
-void hgt_logits_direct_h4d8(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, float scale, float* logits,
-                            float* node_max) {
+void hgt_logits_direct_h4d8(const float* k_all, int ldk, const float* q, int ldq,
+                            const float* w_att, const int* srcs, const int* dsts,
+                            const int* metas, const float* mu, int count, float scale,
+                            float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * 32;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * 32;
+    const float* krow = k_all + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     __m256 prod[4];
     for (int h = 0; h < 4; ++h) {
       const float* kh = krow + h * 8;
@@ -492,25 +493,26 @@ void hgt_logits_direct_h4d8(const float* k_all, const float* q, const float* w_a
   }
 }
 
-void avx2_hgt_logits_direct(const float* k_all, const float* q, const float* w_att,
-                            const int* srcs, const int* dsts, const int* metas,
-                            const float* mu, int count, int heads, int hd, float scale,
-                            float* logits, float* node_max) {
+void avx2_hgt_logits_direct(const float* k_all, int ldk, const float* q, int ldq,
+                            const float* w_att, const int* srcs, const int* dsts,
+                            const int* metas, const float* mu, int count, int heads, int hd,
+                            float scale, float* logits, float* node_max) {
   if (heads == 4 && hd == 8) {
-    return hgt_logits_direct_h4d8(k_all, q, w_att, srcs, dsts, metas, mu, count, scale,
-                                  logits, node_max);
+    return hgt_logits_direct_h4d8(k_all, ldk, q, ldq, w_att, srcs, dsts, metas, mu, count,
+                                  scale, logits, node_max);
   }
-  scalar().hgt_logits_direct(k_all, q, w_att, srcs, dsts, metas, mu, count, heads, hd, scale,
-                             logits, node_max);
+  scalar().hgt_logits_direct(k_all, ldk, q, ldq, w_att, srcs, dsts, metas, mu, count, heads, hd,
+                             scale, logits, node_max);
 }
 
 /// Serving-shape direct accumulate: mapped V row per head in one register,
 /// weighted by a 4-lane exp, scattered with one fmadd per head.
-void hgt_accumulate_direct_h4d8(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, float* out, float* denom) {
+void hgt_accumulate_direct_h4d8(const float* v_all, int ldv, const float* w_msg,
+                                const int* srcs, const int* dsts, int count,
+                                const float* logits, const float* node_max, float* out,
+                                float* denom) {
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * 32;
+    const float* vrow = v_all + static_cast<std::size_t>(srcs[p]) * ldv;
     const std::size_t d = static_cast<std::size_t>(dsts[p]);
     const __m128 l = _mm_loadu_ps(logits + static_cast<std::size_t>(p) * 4);
     const __m128 w = exp128(_mm_sub_ps(l, _mm_loadu_ps(node_max + d * 4)));
@@ -534,16 +536,16 @@ void hgt_accumulate_direct_h4d8(const float* v_all, const float* w_msg, const in
   }
 }
 
-void avx2_hgt_accumulate_direct(const float* v_all, const float* w_msg, const int* srcs,
-                                const int* dsts, int count, const float* logits,
-                                const float* node_max, int heads, int hd, float* out,
-                                float* denom) {
+void avx2_hgt_accumulate_direct(const float* v_all, int ldv, const float* w_msg,
+                                const int* srcs, const int* dsts, int count,
+                                const float* logits, const float* node_max, int heads, int hd,
+                                float* out, float* denom) {
   if (heads == 4 && hd == 8) {
-    return hgt_accumulate_direct_h4d8(v_all, w_msg, srcs, dsts, count, logits, node_max, out,
-                                      denom);
+    return hgt_accumulate_direct_h4d8(v_all, ldv, w_msg, srcs, dsts, count, logits, node_max,
+                                      out, denom);
   }
-  scalar().hgt_accumulate_direct(v_all, w_msg, srcs, dsts, count, logits, node_max, heads, hd,
-                                 out, denom);
+  scalar().hgt_accumulate_direct(v_all, ldv, w_msg, srcs, dsts, count, logits, node_max, heads,
+                                 hd, out, denom);
 }
 
 void avx2_gelu(const float* x, float* out, int n) {
@@ -568,12 +570,12 @@ void avx2_gelu(const float* x, float* out, int n) {
 /// The serving shape (heads 4, head_dim 8): all four head dots of one edge
 /// reduced together (hadd tree), logits and the per-destination max handled
 /// as 4-lane vectors.
-void hgt_logits_h4d8(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, float scale,
+void hgt_logits_h4d8(const float* k_map, int ldk, const float* q, int ldq, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, float scale,
                      float* logits, float* node_max) {
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * 32;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * 32;
+    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     const __m256 p0 = _mm256_mul_ps(_mm256_loadu_ps(krow), _mm256_loadu_ps(qrow));
     const __m256 p1 = _mm256_mul_ps(_mm256_loadu_ps(krow + 8), _mm256_loadu_ps(qrow + 8));
     const __m256 p2 = _mm256_mul_ps(_mm256_loadu_ps(krow + 16), _mm256_loadu_ps(qrow + 16));
@@ -592,11 +594,11 @@ void hgt_logits_h4d8(const float* k_map, const float* q, const int* srcs, const 
 /// Serving-shape accumulate: the four head weights come from one 4-lane exp,
 /// the denominator row updates as one vector, and each head's 8-wide axpy is
 /// a single fmadd.
-void hgt_accumulate_h4d8(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, float* out,
+void hgt_accumulate_h4d8(const float* v_map, int ldv, const int* srcs, const int* dsts,
+                         int count, const float* logits, const float* node_max, float* out,
                          float* denom) {
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * 32;
+    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * ldv;
     const std::size_t d = static_cast<std::size_t>(dsts[p]);
     const __m128 l = _mm_loadu_ps(logits + static_cast<std::size_t>(p) * 4);
     const __m128 m = _mm_loadu_ps(node_max + d * 4);
@@ -615,17 +617,17 @@ void hgt_accumulate_h4d8(const float* v_map, const int* srcs, const int* dsts, i
   }
 }
 
-void avx2_hgt_logits(const float* k_map, const float* q, const int* srcs, const int* dsts,
-                     const int* metas, const float* mu, int count, int heads, int hd,
-                     float scale, float* logits, float* node_max) {
+void avx2_hgt_logits(const float* k_map, int ldk, const float* q, int ldq, const int* srcs,
+                     const int* dsts, const int* metas, const float* mu, int count, int heads,
+                     int hd, float scale, float* logits, float* node_max) {
   if (heads == 4 && hd == 8) {
-    return hgt_logits_h4d8(k_map, q, srcs, dsts, metas, mu, count, scale, logits, node_max);
+    return hgt_logits_h4d8(k_map, ldk, q, ldq, srcs, dsts, metas, mu, count, scale, logits,
+                           node_max);
   }
-  const int dim = heads * hd;
   if (hd == 8) {
     for (int p = 0; p < count; ++p) {
-      const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-      const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+      const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * ldk;
+      const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
       const float sm = scale * mu[metas[p]];
       float* lrow = logits + static_cast<std::size_t>(p) * heads;
       float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -640,8 +642,8 @@ void avx2_hgt_logits(const float* k_map, const float* q, const int* srcs, const 
     return;
   }
   for (int p = 0; p < count; ++p) {
-    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * dim;
-    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * dim;
+    const float* krow = k_map + static_cast<std::size_t>(srcs[p]) * ldk;
+    const float* qrow = q + static_cast<std::size_t>(dsts[p]) * ldq;
     const float sm = scale * mu[metas[p]];
     float* lrow = logits + static_cast<std::size_t>(p) * heads;
     float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
@@ -653,15 +655,15 @@ void avx2_hgt_logits(const float* k_map, const float* q, const int* srcs, const 
   }
 }
 
-void avx2_hgt_accumulate(const float* v_map, const int* srcs, const int* dsts, int count,
-                         const float* logits, const float* node_max, int heads, int hd,
-                         float* out, float* denom) {
+void avx2_hgt_accumulate(const float* v_map, int ldv, const int* srcs, const int* dsts,
+                         int count, const float* logits, const float* node_max, int heads,
+                         int hd, float* out, float* denom) {
   if (heads == 4 && hd == 8) {
-    return hgt_accumulate_h4d8(v_map, srcs, dsts, count, logits, node_max, out, denom);
+    return hgt_accumulate_h4d8(v_map, ldv, srcs, dsts, count, logits, node_max, out, denom);
   }
   const int dim = heads * hd;
   for (int p = 0; p < count; ++p) {
-    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * dim;
+    const float* vrow = v_map + static_cast<std::size_t>(srcs[p]) * ldv;
     const float* lrow = logits + static_cast<std::size_t>(p) * heads;
     const float* mrow = node_max + static_cast<std::size_t>(dsts[p]) * heads;
     float* drow = denom + static_cast<std::size_t>(dsts[p]) * heads;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/graph2par.h"
 #include "core/pipeline.h"
 #include "graph/hetgraph_index.h"
 #include "nn/hgt.h"
@@ -80,6 +81,87 @@ TEST(HetGraphIndex, CsrStructureOfHandBuiltGraph) {
             (std::vector<int>{0}));
   EXPECT_EQ(index.rows_of_type[static_cast<std::size_t>(HetNodeType::kVarRef)],
             (std::vector<int>{1}));
+}
+
+TEST(HetGraphIndex, TypeMajorSlotsOfUnsortedGraph) {
+  // Nodes deliberately out of type order, with repeated types.
+  HetGraph g;
+  g.add_node(HetNodeType::kStmtOther, 1, 0);  // 0
+  g.add_node(HetNodeType::kLoop, 2, 0);       // 1
+  g.add_node(HetNodeType::kVarRef, 3, 0);     // 2
+  g.add_node(HetNodeType::kLoop, 4, 0);       // 3
+  g.add_node(HetNodeType::kLiteral, 5, 0);    // 4
+  g.add_node(HetNodeType::kVarRef, 6, 0);     // 5
+  g.add_node(HetNodeType::kBinaryOp, 7, 0);   // 6
+  g.add_edge(0, 1, HetEdgeType::kAstChild);
+  g.add_edge(6, 2, HetEdgeType::kAstChild);  // node 2 gets three kAstChild
+  g.add_edge(4, 2, HetEdgeType::kAstChild);  // in-edges whose source slots
+  g.add_edge(3, 2, HetEdgeType::kAstChild);  // are not in ascending order
+  g.add_edge(1, 6, HetEdgeType::kAstChild);
+  g.add_edge(5, 0, HetEdgeType::kLexNext);
+  g.add_edge(2, 0, HetEdgeType::kLexNext);
+  const HetGraphIndex index(g);
+
+  // Stable counting sort by type: kLoop {1, 3}, kBinaryOp {6}, kVarRef
+  // {2, 5}, kLiteral {4}, kStmtOther {0}.
+  EXPECT_EQ(index.node_of_slot, (std::vector<int>{1, 3, 6, 2, 5, 4, 0}));
+  std::vector<int> seen(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (int s = 0; s < index.num_nodes; ++s) {
+    const int v = index.node_of_slot[static_cast<std::size_t>(s)];
+    ASSERT_GE(v, 0);
+    ASSERT_LT(v, g.num_nodes());
+    ++seen[static_cast<std::size_t>(v)];
+    EXPECT_EQ(index.slot_of_node[static_cast<std::size_t>(v)], s);
+  }
+  for (const int count : seen) EXPECT_EQ(count, 1);  // a permutation
+
+  // Each type owns one slot range, in enum order, stable within the type.
+  ASSERT_EQ(index.type_offset.size(), static_cast<std::size_t>(kNumHetNodeTypes) + 1);
+  EXPECT_EQ(index.type_offset.front(), 0);
+  EXPECT_EQ(index.type_offset.back(), g.num_nodes());
+  for (int t = 0; t < kNumHetNodeTypes; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    EXPECT_LE(index.type_offset[ts], index.type_offset[ts + 1]);
+    std::vector<int> range;
+    int prev_node = -1;
+    for (int s = index.type_offset[ts]; s < index.type_offset[ts + 1]; ++s) {
+      range.push_back(s);
+      const int v = index.node_of_slot[static_cast<std::size_t>(s)];
+      EXPECT_EQ(static_cast<int>(g.nodes[static_cast<std::size_t>(v)].type), t);
+      EXPECT_GT(v, prev_node);  // insertion order kept within the type
+      prev_node = v;
+    }
+    EXPECT_EQ(index.rows_of_type[ts], range);
+  }
+
+  // CSR in slot space; node 2 (slot 3) lists its kAstChild sources in
+  // insertion order: nodes 6, 4, 3 = slots 2, 5, 1.
+  const auto& ast = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kAstChild)];
+  const int slot2 = index.slot_of_node[2];
+  EXPECT_EQ(slot2, 3);
+  ASSERT_EQ(ast.in_degree(slot2), 3);
+  EXPECT_EQ(ast.src[static_cast<std::size_t>(ast.in_begin(slot2))], 2);
+  EXPECT_EQ(ast.src[static_cast<std::size_t>(ast.in_begin(slot2)) + 1], 5);
+  EXPECT_EQ(ast.src[static_cast<std::size_t>(ast.in_begin(slot2)) + 2], 1);
+  EXPECT_EQ(ast.src, (std::vector<int>{6, 0, 2, 5, 1}));
+  EXPECT_EQ(ast.dst, (std::vector<int>{0, 2, 3, 3, 3}));
+  const auto& lex = index.per_edge_type[static_cast<std::size_t>(HetEdgeType::kLexNext)];
+  EXPECT_EQ(lex.src, (std::vector<int>{4, 3}));  // nodes 5 then 2, insertion order
+  EXPECT_EQ(lex.dst, (std::vector<int>{6, 6}));
+  EXPECT_EQ(index.dst_concat, (std::vector<int>{0, 2, 3, 3, 3, 6, 6}));
+
+  // Meta-relation ids are the ones of the original node types.
+  const auto meta = [](HetNodeType s, HetEdgeType e, HetNodeType t) {
+    return (static_cast<int>(s) * kNumHetEdgeTypes + static_cast<int>(e)) * kNumHetNodeTypes +
+           static_cast<int>(t);
+  };
+  using N = HetNodeType;
+  const HetEdgeType a = HetEdgeType::kAstChild, l = HetEdgeType::kLexNext;
+  EXPECT_EQ(index.meta_concat,
+            (std::vector<int>{meta(N::kStmtOther, a, N::kLoop), meta(N::kLoop, a, N::kBinaryOp),
+                              meta(N::kBinaryOp, a, N::kVarRef), meta(N::kLiteral, a, N::kVarRef),
+                              meta(N::kLoop, a, N::kVarRef), meta(N::kVarRef, l, N::kStmtOther),
+                              meta(N::kVarRef, l, N::kStmtOther)}));
 }
 
 TEST(HetGraphIndex, ThrowsOnOutOfRangeEdge) {
@@ -170,6 +252,63 @@ TEST(BatchedEngine, EncoderForwardMatchesPerGraphWithin1e6) {
       }
     }
   }
+}
+
+/// Graph whose node types cycle through all 13 types from a per-graph
+/// phase, so a batch of them interleaves every type across graphs — the
+/// case where slot order differs most from node order. Every graph has
+/// fewer kAstChild / kAstParent / kLexPrev edges than nodes and exactly as
+/// many kLexNext edges as nodes, so each edge type takes the same sparse or
+/// dense route in the batch as in every graph alone.
+HetGraph make_mixed_type_graph(Rng& rng, int n, int phase) {
+  HetGraph g;
+  for (int i = 0; i < n; ++i) {
+    g.add_node(static_cast<HetNodeType>((i * 5 + phase) % kNumHetNodeTypes),
+               static_cast<int>(rng.uniform_int(0, 40)), static_cast<int>(rng.uniform_int(0, 7)));
+  }
+  for (int i = 1; i < n; ++i) {
+    g.add_edge_pair(static_cast<int>(rng.uniform_int(0, i - 1)), i, HetEdgeType::kAstChild,
+                    HetEdgeType::kAstParent);
+    g.add_edge_pair(i - 1, i, HetEdgeType::kLexNext, HetEdgeType::kLexPrev);
+  }
+  g.add_edge(n - 1, 0, HetEdgeType::kLexNext);
+  return g;
+}
+
+TEST(BatchedEngine, PooledParityOnBatchInterleavingAllNodeTypes) {
+  Rng rng(2024);
+  Graph2ParConfig config;
+  config.vocab_size = 41;
+  Graph2ParModel model(config, rng);
+  std::vector<HetGraph> graphs;
+  for (int g = 0; g < 6; ++g) graphs.push_back(make_mixed_type_graph(rng, 14 + 3 * g, g));
+  std::vector<const HetGraph*> ptrs;
+  for (const auto& g : graphs) ptrs.push_back(&g);
+  const auto batch = batch_graphs(ptrs);
+  // The batch must really be reordered: slots differ from node ids.
+  int moved = 0;
+  for (int s = 0; s < batch.index.num_nodes; ++s) {
+    moved += batch.index.node_of_slot[static_cast<std::size_t>(s)] != s ? 1 : 0;
+  }
+  EXPECT_GT(moved, batch.index.num_nodes / 2);
+
+  const auto expect_parity = [&](const char* what) {
+    const Tensor pooled = model.encode(batch);
+    ASSERT_EQ(pooled.dim(0), static_cast<int>(graphs.size()));
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const Tensor single = model.encode(graphs[g]);
+      for (int d = 0; d < config.dim; ++d) {
+        EXPECT_NEAR(pooled.at({static_cast<int>(g), d}), single.at({0, d}), 2e-4f)
+            << what << ": graph " << g << " dim " << d;
+      }
+    }
+  };
+  expect_parity("reference path");  // grad enabled: the taped path
+  const NoGradGuard no_grad;
+  model.set_precision(Precision::kFp32);
+  expect_parity("fused fp32");
+  model.set_precision(Precision::kInt8);
+  expect_parity("fused int8");
 }
 
 TEST(BatchedEngine, IndexedForwardMatchesWrapperExactly) {

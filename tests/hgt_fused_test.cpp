@@ -8,8 +8,12 @@
 // backend dispatch agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <utility>
+#include <vector>
 #include <sstream>
 #include <string>
 
@@ -424,6 +428,130 @@ TEST(HgtFused, ScalarAndDispatchedBackendsAgree) {
         << "scalar vs " << backend::active_name();
   }
   ASSERT_TRUE(backend::set_active(entry_backend));
+}
+
+/// Outputs of the four fused edge kernels on one edge block.
+struct EdgeKernelOutputs {
+  std::vector<float> logits, logits_direct, node_max, node_max_direct;
+  std::vector<float> acc, acc_direct, denom, denom_direct;
+};
+
+/// Run hgt_logits / hgt_accumulate (over head_map pre-mapped rows) and their
+/// _direct forms from `table`, reading K, Q and V rows of stride `ld` at
+/// `k`, `q`, `v` — the fused forward's layout is the interleaved [n, 3*dim]
+/// K|Q|V buffer with ld = 3*dim.
+EdgeKernelOutputs run_edge_kernels(const backend::Kernels& table, const float* k, const float* q,
+                                   const float* v, int ld, int n, int heads, int hd,
+                                   const std::vector<float>& w_att,
+                                   const std::vector<float>& w_msg, const std::vector<int>& srcs,
+                                   const std::vector<int>& dsts, const std::vector<int>& metas,
+                                   const std::vector<float>& mu) {
+  const int dim = heads * hd;
+  const int count = static_cast<int>(srcs.size());
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  const auto row_elems = static_cast<std::size_t>(n) * static_cast<std::size_t>(dim);
+  const auto head_elems = static_cast<std::size_t>(n) * static_cast<std::size_t>(heads);
+  const auto edge_elems = static_cast<std::size_t>(count) * static_cast<std::size_t>(heads);
+  const float neg_inf = -std::numeric_limits<float>::infinity();
+  EdgeKernelOutputs o;
+  o.logits.resize(edge_elems);
+  o.logits_direct.resize(edge_elems);
+  o.node_max.assign(head_elems, neg_inf);
+  o.node_max_direct.assign(head_elems, neg_inf);
+  o.acc.assign(row_elems, 0.0f);
+  o.acc_direct.assign(row_elems, 0.0f);
+  o.denom.assign(head_elems, 0.0f);
+  o.denom_direct.assign(head_elems, 0.0f);
+  std::vector<float> k_map(row_elems), v_map(row_elems);
+  table.head_map(k, ld, w_att.data(), k_map.data(), n, heads, hd);
+  table.head_map(v, ld, w_msg.data(), v_map.data(), n, heads, hd);
+  table.hgt_logits(k_map.data(), dim, q, ld, srcs.data(), dsts.data(), metas.data(), mu.data(),
+                   count, heads, hd, scale, o.logits.data(), o.node_max.data());
+  table.hgt_logits_direct(k, ld, q, ld, w_att.data(), srcs.data(), dsts.data(), metas.data(),
+                          mu.data(), count, heads, hd, scale, o.logits_direct.data(),
+                          o.node_max_direct.data());
+  table.hgt_accumulate(v_map.data(), dim, srcs.data(), dsts.data(), count, o.logits.data(),
+                       o.node_max.data(), heads, hd, o.acc.data(), o.denom.data());
+  table.hgt_accumulate_direct(v, ld, w_msg.data(), srcs.data(), dsts.data(), count,
+                              o.logits_direct.data(), o.node_max_direct.data(), heads, hd,
+                              o.acc_direct.data(), o.denom_direct.data());
+  return o;
+}
+
+double max_rel_diff(const std::vector<float>& a, const std::vector<float>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double scale = std::max({1.0, std::fabs(double{a[i]}), std::fabs(double{b[i]})});
+    worst = std::max(worst, std::fabs(double{a[i]} - double{b[i]}) / scale);
+  }
+  return worst;
+}
+
+TEST(HgtFused, EdgeKernelsReadInterleavedKqvRows) {
+  // Every edge kernel must read K, Q and V in place from the interleaved
+  // [n, 3*dim] buffer: the scalar table on strided rows must equal itself
+  // on contiguous copies exactly, and the dispatched table must agree with
+  // the scalar one within float rounding.
+  Rng rng(5150);
+  const int n = 37, count = 150;
+  const int num_meta = kNumHetNodeTypes * kNumHetEdgeTypes * kNumHetNodeTypes;
+  for (const auto& [heads, hd] : {std::pair{4, 8}, std::pair{2, 8}, std::pair{4, 4},
+                                  std::pair{1, 16}}) {
+    const int dim = heads * hd;
+    const int ld = 3 * dim;
+    const auto random_vec = [&](std::size_t size, float bound) {
+      std::vector<float> out(size);
+      for (auto& value : out) value = static_cast<float>(rng.uniform(-bound, bound));
+      return out;
+    };
+    const std::vector<float> kqv = random_vec(static_cast<std::size_t>(n) * ld, 1.0f);
+    const std::size_t block = static_cast<std::size_t>(heads) * hd * hd;
+    const std::vector<float> w_att = random_vec(block, 0.5f);
+    const std::vector<float> w_msg = random_vec(block, 0.5f);
+    const std::vector<float> mu = random_vec(static_cast<std::size_t>(num_meta), 1.5f);
+    std::vector<int> srcs, dsts, metas;
+    for (int p = 0; p < count; ++p) {
+      srcs.push_back(static_cast<int>(rng.uniform_int(0, n - 1)));
+      // The first n edges reach every node, so no node_max stays at -inf.
+      dsts.push_back(p < n ? p : static_cast<int>(rng.uniform_int(0, n - 1)));
+      metas.push_back(static_cast<int>(rng.uniform_int(0, num_meta - 1)));
+    }
+    // Contiguous [n, dim] copies of the K, Q and V column blocks.
+    std::vector<float> k(static_cast<std::size_t>(n) * dim), q(k.size()), v(k.size());
+    for (int i = 0; i < n; ++i) {
+      const float* row = kqv.data() + static_cast<std::size_t>(i) * ld;
+      std::copy_n(row, dim, k.data() + static_cast<std::size_t>(i) * dim);
+      std::copy_n(row + dim, dim, q.data() + static_cast<std::size_t>(i) * dim);
+      std::copy_n(row + 2 * dim, dim, v.data() + static_cast<std::size_t>(i) * dim);
+    }
+
+    const auto run = [&](const backend::Kernels& table, bool interleaved) {
+      return interleaved ? run_edge_kernels(table, kqv.data(), kqv.data() + dim,
+                                            kqv.data() + 2 * dim, ld, n, heads, hd, w_att, w_msg,
+                                            srcs, dsts, metas, mu)
+                         : run_edge_kernels(table, k.data(), q.data(), v.data(), dim, n, heads,
+                                            hd, w_att, w_msg, srcs, dsts, metas, mu);
+    };
+    const EdgeKernelOutputs contiguous = run(backend::scalar(), false);
+    const EdgeKernelOutputs strided = run(backend::scalar(), true);
+    const EdgeKernelOutputs dispatched = run(backend::active(), true);
+    const std::string shape = "heads " + std::to_string(heads) + " hd " + std::to_string(hd) +
+                              " on " + backend::active_name();
+    EXPECT_EQ(strided.logits, contiguous.logits) << shape;
+    EXPECT_EQ(strided.logits_direct, contiguous.logits_direct) << shape;
+    EXPECT_EQ(strided.acc, contiguous.acc) << shape;
+    EXPECT_EQ(strided.acc_direct, contiguous.acc_direct) << shape;
+    EXPECT_EQ(strided.denom_direct, contiguous.denom_direct) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.logits, strided.logits), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.node_max, strided.node_max), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.logits_direct, strided.logits_direct), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.node_max_direct, strided.node_max_direct), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.acc, strided.acc), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.denom, strided.denom), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.acc_direct, strided.acc_direct), kTol) << shape;
+    EXPECT_LE(max_rel_diff(dispatched.denom_direct, strided.denom_direct), kTol) << shape;
+  }
 }
 
 }  // namespace

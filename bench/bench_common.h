@@ -7,6 +7,7 @@
 //   G2P_SEED   — experiment seed (default 20230509).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -196,6 +197,16 @@ inline void set_common_header(JsonMetrics& json, const char* bench_name) {
     ::pclose(p);
   }
   json.set("git_rev", rev);
+}
+
+/// The value at index floor(p * (n - 1)) of `values` sorted ascending
+/// (p in [0, 1]), or 0 for an empty set: the serving benches' latency
+/// percentiles.
+inline double percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
+  return values[idx];
 }
 
 /// The value following `--json`, or "" when the flag is absent. A trailing

@@ -52,13 +52,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(values.size() - 1));
-  return values[idx];
-}
-
 /// Route faults exercise reroute/failover; forward faults exercise the
 /// replica-attributable failover path end to end. Probabilities low enough
 /// that bounded failover (and the inner retry ladder) absorbs nearly all.
@@ -289,8 +282,8 @@ int main(int argc, char** argv) {
   table.add_row({"typed serve errors", std::to_string(typed_errors)});
   table.add_row({"shed (admission + ladder)", std::to_string(shed_total)});
   table.add_row({"availability (non-shed)", fmt_fixed(availability * 100.0, 2) + "%"});
-  table.add_row({"p50 (ms)", fmt_fixed(percentile(latency_s, 0.50) * 1e3, 2)});
-  table.add_row({"p99 (ms)", fmt_fixed(percentile(latency_s, 0.99) * 1e3, 2)});
+  table.add_row({"p50 (ms)", fmt_fixed(bench::percentile(latency_s, 0.50) * 1e3, 2)});
+  table.add_row({"p99 (ms)", fmt_fixed(bench::percentile(latency_s, 0.99) * 1e3, 2)});
   table.add_row({"affinity / stolen / rerouted",
                  std::to_string(stats.affinity_routed) + " / " + std::to_string(stats.stolen) +
                      " / " + std::to_string(stats.rerouted)});
@@ -342,8 +335,8 @@ int main(int argc, char** argv) {
   json.set("shed", static_cast<std::int64_t>(shed_total));
   json.set("availability", availability);
   json.set("availability_floor", floor);
-  json.set("p50_ms", percentile(latency_s, 0.50) * 1e3);
-  json.set("p99_ms", percentile(latency_s, 0.99) * 1e3);
+  json.set("p50_ms", bench::percentile(latency_s, 0.50) * 1e3);
+  json.set("p99_ms", bench::percentile(latency_s, 0.99) * 1e3);
   json.set("affinity_routed", static_cast<std::int64_t>(stats.affinity_routed));
   json.set("stolen", static_cast<std::int64_t>(stats.stolen));
   json.set("rerouted", static_cast<std::int64_t>(stats.rerouted));

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "support/failpoint.h"
 #include "tensor/backend.h"
@@ -15,105 +14,16 @@
 
 namespace g2p {
 
-Precision resolve_precision(Precision configured) {
-  // -1: no override, 0: force fp32, 1: force int8. Read once, like the
-  // other G2P_* knobs (docs/tuning.md).
-  static const int forced = [] {
-    const char* e = std::getenv("G2P_PRECISION");
-    if (e == nullptr) return -1;
-    const std::string_view v(e);
-    if (v == "int8") return 1;
-    if (v == "fp32") return 0;
-    if (!v.empty()) {
-      std::fprintf(stderr, "g2p: unknown G2P_PRECISION '%s' (want fp32|int8), ignoring\n", e);
-    }
-    return -1;
-  }();
-  if (forced == 0) return Precision::kFp32;
-  if (forced == 1) return Precision::kInt8;
-  return configured;
-}
-
-const char* precision_name(Precision p) {
-  return p == Precision::kInt8 ? "int8" : "fp32";
-}
-
 namespace {
 
-/// Process-wide escape hatch: G2P_FUSED=0 (or "off") pins every layer to the
-/// taped reference path even in inference mode. Read once.
-bool fused_env_enabled() {
+/// G2P_HGT_PROFILE (docs/tuning.md): any non-empty value turns on the fused
+/// forward's per-stage stderr timings. Read once, like every G2P_* knob.
+bool profile_env_enabled() {
   static const bool enabled = [] {
-    const char* e = std::getenv("G2P_FUSED");
-    if (e == nullptr) return true;
-    const std::string_view v(e);
-    return v != "0" && v != "off" && v != "false";
+    const char* e = std::getenv("G2P_HGT_PROFILE");
+    return e != nullptr && *e != '\0';
   }();
   return enabled;
-}
-
-/// Int8 image of one edge type's fused head blocks: `heads` [hd, hd]
-/// matrices back to back, each quantized per output column, with the
-/// scale/zcomp arrays concatenated to length heads*hd so dequant indexes
-/// them by the same [h*hd + j] column the per-head sub-GEMMs write.
-void quantize_head_blocks(const FloatVec& blocks, int heads, int hd,
-                          backend::detail::QuantOperand& out) {
-  const std::size_t block = static_cast<std::size_t>(hd) * hd;
-  out.k = hd;
-  out.m = heads * hd;
-  out.q.resize(static_cast<std::size_t>(heads) * block);
-  out.scale.assign(static_cast<std::size_t>(heads) * hd, 0.0f);
-  out.zcomp.assign(static_cast<std::size_t>(heads) * hd, 0.0f);
-  backend::detail::QuantOperand tmp;
-  for (int h = 0; h < heads; ++h) {
-    backend::detail::quantize_weights(blocks.data() + static_cast<std::size_t>(h) * block,
-                                      hd, hd, tmp);
-    std::copy(tmp.q.begin(), tmp.q.end(),
-              out.q.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(h) * block));
-    std::copy(tmp.scale.begin(), tmp.scale.end(),
-              out.scale.begin() + static_cast<std::ptrdiff_t>(h * hd));
-    std::copy(tmp.zcomp.begin(), tmp.zcomp.end(),
-              out.zcomp.begin() + static_cast<std::ptrdiff_t>(h * hd));
-  }
-}
-
-/// Quantize a set of [*, dim] rows (selected by `rows`, or all n rows when
-/// `rows` is null) straight out of the source buffer — a row selection and
-/// the quantization are one pass, no float scratch. Sizes the outputs,
-/// then dispatches the scan/round work to Kernels::quantize_rows.
-void quantize_rows(const float* src, int dim, const std::vector<int>* rows, int n,
-                   backend::detail::U8Vec& qa, FloatVec& scales, FloatVec& zeros) {
-  const auto dim_sz = static_cast<std::size_t>(dim);
-  const int count = rows != nullptr ? static_cast<int>(rows->size()) : n;
-  qa.resize(static_cast<std::size_t>(count) * dim_sz);
-  scales.resize(static_cast<std::size_t>(count));
-  zeros.resize(static_cast<std::size_t>(count));
-  backend::active().quantize_rows(src, rows != nullptr ? rows->data() : nullptr, count, dim,
-                                  qa.data(), scales.data(), zeros.data());
-}
-
-/// Dequantize one GEMM accumulator row segment into fp32, optionally folding
-/// the bias and the residual in the same pass:
-///   out[j] = sa * (wsc[j] * acc[j]) + za * wzc[j] [+ bias[j]] [+ res[j]]
-/// The __restrict contracts (all streams distinct) are what let the
-/// contiguous loops vectorize — the int8 epilogue's cost lives here.
-inline void dequant_row(const std::int32_t* __restrict acc, const float* __restrict wsc,
-                        const float* __restrict wzc, float sa, float za, int m,
-                        float* __restrict out, const float* __restrict bias = nullptr,
-                        const float* __restrict res = nullptr) {
-  if (bias != nullptr && res != nullptr) {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j] + res[j];
-    }
-  } else if (bias != nullptr) {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j] + bias[j];
-    }
-  } else {
-    for (int j = 0; j < m; ++j) {
-      out[j] = sa * (wsc[j] * static_cast<float>(acc[j])) + za * wzc[j];
-    }
-  }
 }
 
 }  // namespace
@@ -161,7 +71,7 @@ Tensor HgtLayer::per_type_projection(const Tensor& x, const HetGraphIndex& index
 }
 
 Tensor HgtLayer::forward(const Tensor& x, const HetGraphIndex& index) const {
-  if (!grad_enabled() && fused_enabled_ && fused_env_enabled()) {
+  if (!grad_enabled() && fused_enabled_) {
     return forward_fused(x, index);
   }
   return forward_reference(x, index);
@@ -331,25 +241,6 @@ const HgtLayer::FusedWeights* HgtLayer::fused_weights() const {
       fresh->a_b[ts].assign(dim_sz, 0.0f);
     }
   }
-  // Int8 images of every fused operand (see FusedWeights). Built even when
-  // serving fp32: they cost a few KB and one pass per rebuild, and keying
-  // them on the same stamp makes precision flips race-free by construction —
-  // the invalidation tests poke parameters and expect BOTH repacks fresh.
-  fresh->kqv_q.resize(static_cast<std::size_t>(kNumHetNodeTypes));
-  fresh->a_q.resize(static_cast<std::size_t>(kNumHetNodeTypes));
-  for (int t = 0; t < kNumHetNodeTypes; ++t) {
-    const auto ts = static_cast<std::size_t>(t);
-    backend::detail::quantize_weights(fresh->kqv_w[ts].data(), dim_, 3 * dim_,
-                                      fresh->kqv_q[ts]);
-    backend::detail::quantize_weights(fresh->a_w[ts].data(), dim_, dim_, fresh->a_q[ts]);
-  }
-  fresh->att_q.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
-  fresh->msg_q.resize(static_cast<std::size_t>(kNumHetEdgeTypes));
-  for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-    const auto e = static_cast<std::size_t>(et);
-    quantize_head_blocks(fresh->att[e], heads_, head_dim_, fresh->att_q[e]);
-    quantize_head_blocks(fresh->msg[e], heads_, head_dim_, fresh->msg_q[e]);
-  }
   const FusedWeights* published = fresh.get();
   fused_retired_.push_back(std::move(fresh));  // freed with the layer, never earlier
   fused_current_.store(published, std::memory_order_release);
@@ -365,17 +256,11 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const NoGradGuard no_grad;  // the fused path never tapes, even if entered directly
   const auto& kern = backend::active();
   const auto fused = fused_weights();
-  // Int8 serving: every projection GEMM goes through Kernels::gemm_s8 on
-  // the cached weight repacks — activations quantized per row, fp32 dequant
-  // folded into the same bias/residual pass the fp32 path uses. The edge
-  // phases (logits, softmax, accumulate, normalize) are precision-invariant
-  // and shared.
-  const bool int8 = resolve_precision(precision_) == Precision::kInt8;
   // G2P_HGT_PROFILE (docs/tuning.md): per-stage wall times to stderr, one
   // line per stage per layer forward. Dev-only instrumentation for placing
-  // regressions (and the fp32/int8 A-B) without a profiler; costs one
-  // getenv and a handful of predictable branches when unset.
-  const bool prof = std::getenv("G2P_HGT_PROFILE") != nullptr;
+  // regressions without a profiler; costs a handful of predictable branches
+  // when unset.
+  const bool prof = profile_env_enabled();
   auto tp = std::chrono::steady_clock::now();
   const auto mark = [&](const char* what) {
     if (!prof) return;
@@ -394,30 +279,14 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const std::size_t row_elems = static_cast<std::size_t>(n) * dim_sz;
   const float* xdata = x.data().data();
   ThreadPool* const pool = pool_.get();
-  backend::detail::U8Vec qa;
-  FloatVec a_scale, a_zero;
-  backend::detail::I32Vec acc;
   // One node type's projection: its `rt` contiguous [dim] rows at `in`
   // times the cached [dim, cols] operand, written in place to `out` (row
   // stride cols), with `bias` added in the same pass and, when `res` is set,
   // the residual rows at `res` (same stride) as well.
-  const auto project = [&](const float* in, int rt, const FloatVec& w,
-                           const backend::detail::QuantOperand& wq, const FloatVec& bias,
+  const auto project = [&](const float* in, int rt, const FloatVec& w, const FloatVec& bias,
                            int cols, float* out, const float* res) {
     const auto cols_sz = static_cast<std::size_t>(cols);
     const float* b = bias.data();
-    if (int8) {
-      quantize_rows(in, dim_, nullptr, rt, qa, a_scale, a_zero);
-      acc.resize(static_cast<std::size_t>(rt) * cols_sz);
-      backend::gemm_s8_mt(qa.data(), dim_, wq.q.data(), acc.data(), cols, rt, dim_, cols, pool);
-      for (int r = 0; r < rt; ++r) {
-        const std::size_t row = static_cast<std::size_t>(r) * cols_sz;
-        dequant_row(acc.data() + row, wq.scale.data(), wq.zcomp.data(),
-                    a_scale[static_cast<std::size_t>(r)], a_zero[static_cast<std::size_t>(r)],
-                    cols, out + row, b, res != nullptr ? res + row : nullptr);
-      }
-      return;
-    }
     backend::matmul_mt(in, w.data(), out, rt, dim_, cols, pool);
     for (int r = 0; r < rt; ++r) {
       float* orow = out + static_cast<std::size_t>(r) * cols_sz;
@@ -442,7 +311,7 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const int rt = index.type_offset[ts + 1] - begin;
     if (rt == 0) continue;
     project(xdata + static_cast<std::size_t>(begin) * dim_sz, rt, fused->kqv_w[ts],
-            fused->kqv_q[ts], fused->kqv_b[ts], ld,
+            fused->kqv_b[ts], ld,
             kqv.data() + static_cast<std::size_t>(begin) * static_cast<std::size_t>(ld),
             nullptr);
   }
@@ -460,59 +329,14 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   // pressure (no per-type map buffers to evict the shared K/Q/V rows).
   std::vector<FloatVec> k_map(static_cast<std::size_t>(kNumHetEdgeTypes));
   std::vector<FloatVec> v_map(static_cast<std::size_t>(kNumHetEdgeTypes));
-  {
-    // Int8 dense maps: K and V rows are quantized once — the cost amortizes
-    // over every dense edge type — then each head's [hd, hd] block runs as a
-    // column-strided sub-GEMM on the shared quantized buffer (the lda/ldc
-    // strides of the gemm_s8 contract), dequantized per map into k_map/v_map
-    // exactly where the fp32 head_map would have written.
-    backend::detail::U8Vec qk, qv;
-    FloatVec k_sc, k_z, v_sc, v_z;
-    backend::detail::I32Vec map_acc;
-    bool quantized_kv = false;
-    const std::size_t block = static_cast<std::size_t>(head_dim_) * head_dim_;
-    const auto int8_head_map = [&](const backend::detail::U8Vec& qrows, const FloatVec& rsc,
-                                   const FloatVec& rz,
-                                   const backend::detail::QuantOperand& wq, FloatVec& out) {
-      for (int h = 0; h < heads_; ++h) {
-        backend::gemm_s8_mt(qrows.data() + static_cast<std::size_t>(h) * head_dim_, dim_,
-                            wq.q.data() + static_cast<std::size_t>(h) * block,
-                            map_acc.data() + static_cast<std::size_t>(h) * head_dim_, dim_,
-                            n, head_dim_, head_dim_, pool);
-      }
-      const float* wsc = wq.scale.data();
-      const float* wzc = wq.zcomp.data();
-      for (int i = 0; i < n; ++i) {
-        dequant_row(map_acc.data() + static_cast<std::size_t>(i) * dim_sz, wsc, wzc,
-                    rsc[static_cast<std::size_t>(i)], rz[static_cast<std::size_t>(i)], dim_,
-                    out.data() + static_cast<std::size_t>(i) * dim_sz);
-      }
-    };
-    for (int et = 0; et < kNumHetEdgeTypes; ++et) {
-      const auto e = static_cast<std::size_t>(et);
-      const auto& slice = index.per_edge_type[e];
-      if (slice.empty() || slice.size() < n) continue;  // sparse: map per edge
-      k_map[e].resize(row_elems);
-      v_map[e].resize(row_elems);
-      if (int8) {
-        if (!quantized_kv) {
-          // Row i of the interleaved buffer is row 3*i in units of dim: the
-          // row quantizer reads K (and, offset by 2*dim, V) through that
-          // index without a copy.
-          std::vector<int> kqv_rows(static_cast<std::size_t>(n));
-          for (int i = 0; i < n; ++i) kqv_rows[static_cast<std::size_t>(i)] = 3 * i;
-          quantize_rows(k_all, dim_, &kqv_rows, n, qk, k_sc, k_z);
-          quantize_rows(v_all, dim_, &kqv_rows, n, qv, v_sc, v_z);
-          map_acc.resize(row_elems);
-          quantized_kv = true;
-        }
-        int8_head_map(qk, k_sc, k_z, fused->att_q[e], k_map[e]);
-        int8_head_map(qv, v_sc, v_z, fused->msg_q[e], v_map[e]);
-        continue;
-      }
-      kern.head_map(k_all, ld, fused->att[e].data(), k_map[e].data(), n, heads_, head_dim_);
-      kern.head_map(v_all, ld, fused->msg[e].data(), v_map[e].data(), n, heads_, head_dim_);
-    }
+  for (int et = 0; et < kNumHetEdgeTypes; ++et) {
+    const auto e = static_cast<std::size_t>(et);
+    const auto& slice = index.per_edge_type[e];
+    if (slice.empty() || slice.size() < n) continue;  // sparse: map per edge
+    k_map[e].resize(row_elems);
+    v_map[e].resize(row_elems);
+    kern.head_map(k_all, ld, fused->att[e].data(), k_map[e].data(), n, heads_, head_dim_);
+    kern.head_map(v_all, ld, fused->msg[e].data(), v_map[e].data(), n, heads_, head_dim_);
   }
 
   mark("maps");
@@ -602,8 +426,8 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
     const int rt = index.type_offset[ts + 1] - begin;
     if (rt == 0) continue;
     const std::size_t off = static_cast<std::size_t>(begin) * dim_sz;
-    project(h_tilde.data() + off, rt, fused->a_w[ts], fused->a_q[ts], fused->a_b[ts], dim_,
-            y.data() + off, xdata + off);
+    project(h_tilde.data() + off, rt, fused->a_w[ts], fused->a_b[ts], dim_, y.data() + off,
+            xdata + off);
   }
   mark("a_stage");
   return make_result({n, dim_}, std::move(y), {}, nullptr);
@@ -646,10 +470,6 @@ Tensor HgtEncoder::forward(const Tensor& x, const HetGraph& graph) const {
 
 void HgtEncoder::set_fused_inference(bool enabled) {
   for (auto& layer : layers_) layer->set_fused_inference(enabled);
-}
-
-void HgtEncoder::set_precision(Precision p) {
-  for (auto& layer : layers_) layer->set_precision(p);
 }
 
 void HgtEncoder::set_thread_pool(std::shared_ptr<ThreadPool> pool) {

@@ -26,28 +26,10 @@
 #include "graph/hetgraph_index.h"
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "tensor/gemm_s8.h"
 
 namespace g2p {
 
 class ThreadPool;
-
-/// Serving precision of the fused inference path. kFp32 is the default and
-/// is numerically identical to the pre-quantization fused kernel; kInt8
-/// routes every projection GEMM through the quantized Kernels::gemm_s8
-/// contract (gemm_s8.h): dynamic asymmetric per-row activation quantization
-/// of each node type's contiguous rows, cached symmetric per-output-channel
-/// int8 weight repacks, fp32 dequantization folded into the bias/residual
-/// pass.
-/// Training and the taped reference path always run fp32 regardless.
-enum class Precision { kFp32, kInt8 };
-
-/// The precision actually served: the G2P_PRECISION environment override
-/// ("fp32" | "int8", read once) when set and valid, else `configured`.
-Precision resolve_precision(Precision configured);
-
-/// "fp32" / "int8" — stable strings for stats and --json reporting.
-const char* precision_name(Precision p);
 
 class HgtLayer : public Module {
  public:
@@ -64,9 +46,8 @@ class HgtLayer : public Module {
   ///
   /// Routing: under grad (training) this is always the taped reference
   /// implementation; in inference mode (NoGradGuard active) it dispatches to
-  /// the fused kernel unless disabled via set_fused_inference(false) or
-  /// G2P_FUSED=0. The two paths agree within float rounding (~1e-7
-  /// relative), not bitwise.
+  /// the fused kernel unless disabled via set_fused_inference(false). The
+  /// two paths agree within float rounding (~1e-7 relative), not bitwise.
   Tensor forward(const Tensor& x, const HetGraphIndex& index) const;
 
   /// Single-graph convenience wrapper: indexes `graph` and forwards; `x` is
@@ -96,15 +77,6 @@ class HgtLayer : public Module {
   /// Enable/disable fused-kernel routing for this layer (default on).
   void set_fused_inference(bool enabled) { fused_enabled_ = enabled; }
   bool fused_inference() const { return fused_enabled_; }
-
-  /// Configure the fused forward's serving precision (default fp32; the
-  /// G2P_PRECISION env var overrides it — see resolve_precision). Like
-  /// set_fused_inference, configure at setup: not thread-safe against
-  /// concurrent forwards. The int8 weight repacks live in the same fused
-  /// cache and share its stamp, so flipping precision never serves stale
-  /// weights and costs no rebuild.
-  void set_precision(Precision p) { precision_ = p; }
-  Precision precision() const { return precision_; }
 
   /// Worker pool for the fused forward's projection GEMMs (matmul_mt row
   /// panels) — batch-shaped forwards scale across cores with it, null runs
@@ -147,16 +119,6 @@ class HgtLayer : public Module {
     std::vector<FloatVec> att, msg;      // φ-indexed; block layout is [h][k][j]
     std::vector<FloatVec> kqv_w, kqv_b;  // τ-indexed: [dim, 3*dim] / [3*dim]
     std::vector<FloatVec> a_w, a_b;      // τ-indexed: [dim, dim] / [dim]
-    // Int8 images of the operands above for the quantized serving path
-    // (gemm_s8.h), built unconditionally at rebuild — they are a few KB per
-    // layer, and sharing the stamp means a precision flip (option or env)
-    // never races a rebuild. kqv_q / a_q quantize the τ-indexed GEMM
-    // operands per output column; att_q / msg_q hold each φ's `heads`
-    // [head_dim, head_dim] blocks back to back, with scale/zcomp indexed
-    // [h*head_dim + j] to match the [N, dim] column layout the per-head
-    // sub-GEMMs write.
-    std::vector<backend::detail::QuantOperand> kqv_q, a_q;  // τ-indexed
-    std::vector<backend::detail::QuantOperand> att_q, msg_q;  // φ-indexed
   };
   const FusedWeights* fused_weights() const;
   std::uint64_t weight_stamp() const;
@@ -172,7 +134,6 @@ class HgtLayer : public Module {
   mutable std::vector<std::unique_ptr<const FusedWeights>> fused_retired_;
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
   bool fused_enabled_ = true;
-  Precision precision_ = Precision::kFp32;
   std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
   /// Apply the per-type linear `lins[type]` to the rows of each type (slot
@@ -203,9 +164,6 @@ class HgtEncoder : public Module {
 
   /// Propagate fused-inference routing to every layer (see HgtLayer).
   void set_fused_inference(bool enabled);
-
-  /// Propagate the serving precision to every layer (see HgtLayer).
-  void set_precision(Precision p);
 
   /// Propagate the projection-GEMM worker pool to every layer (see HgtLayer).
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);

@@ -312,7 +312,6 @@ std::uint64_t SuggestServer::queue_depth() const { return stats_->depth(); }
 
 ServerStatsSnapshot SuggestServer::stats() const {
   ServerStatsSnapshot snapshot = stats_->snapshot();
-  snapshot.precision = precision_name(pipeline_->active_precision());
   snapshot.verify = pipeline_->verify_active();
   const SuggestCache::Stats cache = pipeline_->cache_stats();
   snapshot.cache_full_hits = cache.full_hits;

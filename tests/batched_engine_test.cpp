@@ -305,10 +305,7 @@ TEST(BatchedEngine, PooledParityOnBatchInterleavingAllNodeTypes) {
   };
   expect_parity("reference path");  // grad enabled: the taped path
   const NoGradGuard no_grad;
-  model.set_precision(Precision::kFp32);
   expect_parity("fused fp32");
-  model.set_precision(Precision::kInt8);
-  expect_parity("fused int8");
 }
 
 TEST(BatchedEngine, IndexedForwardMatchesWrapperExactly) {

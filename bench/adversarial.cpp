@@ -45,11 +45,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 /// The poison set: one of each adversarial family the governor and the
 /// frontend guards exist for. All are cheap to reject — the whole point is

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -197,6 +198,13 @@ inline void set_common_header(JsonMetrics& json, const char* bench_name) {
     ::pclose(p);
   }
   json.set("git_rev", rev);
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Seconds elapsed on the steady clock since `start`: the benches' stopwatch.
+inline double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /// The value at index floor(p * (n - 1)) of `values` sorted ascending

@@ -42,11 +42,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 /// Default chaos schedule: every serving-path site armed at a probability
 /// low enough that the retry ladder should absorb nearly all of it. The
@@ -66,6 +63,11 @@ int main(int argc, char** argv) {
   using namespace g2p;
   const auto env = bench::BenchEnv::from_env();
   const std::string json_path = bench::json_path_from_args(argc, argv);
+  // A G2P_FAILPOINTS schedule is armed at process start. Hold it back until
+  // training, calibration and the clean reference are done: a fault
+  // injected there would abort the bench before the measured stream starts.
+  const std::string env_schedule = failpoint::active_spec();
+  failpoint::disarm();
 
   Pipeline::Options options;
   options.corpus = env.generator_config();
@@ -115,9 +117,9 @@ int main(int argc, char** argv) {
   pipeline->set_cache_bytes(64u << 20);
   pipeline->clear_cache();  // chaos traffic warms its own cache under faults
 
-  // Arm the schedule. A schedule from the G2P_FAILPOINTS env was applied at
-  // process start and wins (the CI chaos job randomizes seeds through it).
-  if (!failpoint::armed()) failpoint::configure(kDefaultSchedule);
+  // Arm the schedule. One from the G2P_FAILPOINTS env (held back above) wins
+  // over the built-in default (the CI chaos job randomizes seeds through it).
+  failpoint::configure(env_schedule.empty() ? kDefaultSchedule : env_schedule);
   const std::string schedule = failpoint::active_spec();
   std::printf("fault schedule: %s\n", schedule.c_str());
 

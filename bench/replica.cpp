@@ -46,11 +46,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using g2p::bench::Clock;
+using g2p::bench::seconds_since;
 
 /// Route faults exercise reroute/failover; forward faults exercise the
 /// replica-attributable failover path end to end. Probabilities low enough
@@ -65,7 +62,7 @@ bool bitwise_equal(const std::vector<g2p::LoopSuggestion>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].parallel != b[i].parallel || a[i].category != b[i].category ||
         a[i].suggested_pragma != b[i].suggested_pragma || a[i].line != b[i].line ||
-        std::memcmp(&a[i].confidence, &b[i].confidence, sizeof(float)) != 0) {
+        std::memcmp(&a[i].confidence, &b[i].confidence, sizeof(a[i].confidence)) != 0) {
       return false;
     }
   }
@@ -78,6 +75,11 @@ int main(int argc, char** argv) {
   using namespace g2p;
   const auto env = bench::BenchEnv::from_env();
   const std::string json_path = bench::json_path_from_args(argc, argv);
+  // A G2P_FAILPOINTS schedule is armed at process start. Hold it back until
+  // training, calibration and the clean reference are done: a fault
+  // injected there would abort the bench before the measured stream starts.
+  const std::string env_schedule = failpoint::active_spec();
+  failpoint::disarm();
 
   Pipeline::Options options;
   options.corpus = env.generator_config();
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
   pipeline.set_cache_bytes(64u << 20);
   pipeline.clear_cache();
 
-  if (!failpoint::armed()) failpoint::configure(kDefaultSchedule);
+  failpoint::configure(env_schedule.empty() ? kDefaultSchedule : env_schedule);
   const std::string schedule = failpoint::active_spec();
   std::printf("fault schedule: %s | %zu replicas\n", schedule.c_str(), replicas);
 

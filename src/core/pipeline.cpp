@@ -56,9 +56,8 @@ std::shared_ptr<const FrontendArtifact> build_artifact(std::string_view c_source
   return out;
 }
 
-/// Turn model outputs for one loop into a rendered suggestion. Every
-/// serving entry point (sequential, batched, cached replay) funnels through
-/// here, so verification behaves bitwise-identically across them.
+/// Turn model outputs for one loop into a rendered suggestion (stage 3 of
+/// suggest_batch_results, the one serving path).
 LoopSuggestion make_suggestion(const ExtractedLoop& loop, const TranslationUnit* tu,
                                double confidence, const std::array<int, 4>& clause_pred,
                                bool verify) {
@@ -202,67 +201,9 @@ Pipeline Pipeline::train(const Options& options) {
 }
 
 std::vector<LoopSuggestion> Pipeline::suggest(std::string_view c_source) const {
-  const NoGradGuard no_grad;  // serving: skip tape construction
-  // One governor for the whole sequential request: frontend charges and
-  // verifier checkpoints accumulate against the same budget.
-  ResourceGovernor governor(budget_);
-  const GovernorScope governor_scope(&governor);
-  const std::uint64_t stamp = model_stamp_.load(std::memory_order_acquire);
-  const bool verify = verify_active();
-  const bool cached = cache_->enabled();
-  Hash128 key{};
-  Hash128 rkey{};
-  std::shared_ptr<const FrontendArtifact> artifact;
-  if (cached) {
-    key = hash_source(c_source);
-    rkey = result_cache_key(key, verify);
-    if (auto hit = cache_->get_result(rkey, stamp)) return *hit;  // skip everything
-    artifact = cache_->get_frontend(key);
-  }
-  if (!artifact) {
-    artifact = build_artifact(c_source, vocab_, options_.aug);
-    cache_->put_frontend(key, artifact);
-  }
-  std::vector<LoopSuggestion> out;
-  if (artifact->loops.empty()) {
-    if (cached) {
-      cache_->put_result(rkey, stamp, std::make_shared<std::vector<LoopSuggestion>>(),
-                         artifact->frontend_ns);
-    }
-    return out;
-  }
-
-  // Model inference isn't governed work — pause the wall clock so the
-  // frontend budget means the same thing here as on the batched path.
-  governor.clock_pause();
-  std::vector<const HetGraph*> graph_ptrs;
-  graph_ptrs.reserve(artifact->graphs.size());
-  for (const auto& g : artifact->graphs) graph_ptrs.push_back(&g.graph);
-  const auto batch = batch_graphs(graph_ptrs);
-
-  const Tensor pooled = model_->encode(batch);
-  const Tensor parallel_probs =
-      softmax_rows(model_->task_logits(pooled, PredictionTask::kParallel));
-  std::array<std::vector<int>, 4> clause_preds;
-  for (int c = 0; c < 4; ++c) {
-    clause_preds[static_cast<std::size_t>(c)] =
-        argmax_rows(model_->task_logits(pooled, static_cast<PredictionTask>(c + 1)));
-  }
-  governor.clock_resume();
-
-  out.reserve(artifact->loops.size());
-  for (std::size_t i = 0; i < artifact->loops.size(); ++i) {
-    out.push_back(make_suggestion(
-        artifact->loops[i], artifact->parsed.tu,
-        parallel_probs.at({static_cast<int>(i), 1}),
-        {clause_preds[0][i], clause_preds[1][i], clause_preds[2][i], clause_preds[3][i]},
-        verify));
-  }
-  if (cached) {
-    cache_->put_result(rkey, stamp, std::make_shared<std::vector<LoopSuggestion>>(out),
-                       artifact->frontend_ns);
-  }
-  return out;
+  auto results = suggest_batch_results({&c_source, 1});
+  if (results[0].error) std::rethrow_exception(results[0].error);
+  return std::move(results[0].suggestions);
 }
 
 std::optional<std::vector<LoopSuggestion>> Pipeline::try_cached(

@@ -72,10 +72,14 @@ class Pipeline {
   /// for fixed options.
   static Pipeline train(const Options& options = {});
 
-  /// Analyze a C translation unit and produce one suggestion per loop.
+  /// Analyze a C translation unit and produce one suggestion per loop:
+  /// `suggest_batch_results` over one slot, rethrowing that slot's error.
   /// Consults the serving cache: identical (normalized) sources skip the
   /// frontend, and skip the model forward too when the checkpoint has not
-  /// changed since the cached entry was rendered.
+  /// changed since the cached entry was rendered. Like every batch slot, a
+  /// source whose frontend artifact comes from the cache is verified
+  /// without a resource governor (its frontend was vetted under a budget
+  /// when the artifact was built).
   std::vector<LoopSuggestion> suggest(std::string_view c_source) const;
 
   /// Full-result cache probe without a forward: the rendered suggestions
@@ -89,16 +93,19 @@ class Pipeline {
   /// list per unit out (aligned with `sources`). Per-source frontend work
   /// (parse, loop extraction, aug-AST construction) runs on a worker pool;
   /// all loops across all sources are merged into a single disjoint batch
-  /// union for one model forward. Numerically equivalent to calling
-  /// `suggest` per source, just faster. Throws on the first source that
-  /// fails to parse, like `suggest` does.
+  /// union for one model forward. Bitwise identical to calling `suggest`
+  /// per source, just faster: no suggestion depends on its batch-mates.
+  /// Throws on the first source that fails to parse, like `suggest` does.
   std::vector<std::vector<LoopSuggestion>> suggest_batch(
       std::span<const std::string_view> sources) const;
 
   /// Error-tolerant batch entry point for servers: a source that fails to
   /// parse or analyze reports its exception in its own slot instead of
   /// poisoning batch-mates; every healthy source still gets suggestions
-  /// numerically equivalent to per-source `suggest`. Aligned with `sources`.
+  /// bitwise identical to per-source `suggest`. Aligned with `sources`.
+  /// Each slot that builds its frontend gets its own resource governor,
+  /// which also covers that slot's verifier; cache-hit and in-batch
+  /// duplicate slots verify ungoverned.
   std::vector<SourceResult> suggest_batch_results(
       std::span<const std::string_view> sources) const;
 

@@ -1,10 +1,11 @@
 // Scalar reference kernels, NEON variants, and the runtime dispatch table.
 //
 // The scalar matmul specializations moved here from ops.cpp unchanged: one
-// output row of compile-time width accumulated in registers, a 4-row variant
-// whose independent FMA chains hide multiply-add latency, and a replicated-B
-// kernel for narrow head matrices. Every kernel sums k in ascending order,
-// so all scalar paths produce bitwise-identical results.
+// output row of compile-time width accumulated in registers, and a 4-row
+// variant whose independent FMA chains hide multiply-add latency. Every
+// kernel sums k in ascending order. The narrow widths (m <= 8, the task
+// heads) run one row at a time, so a row's bits never depend on how many
+// rows share the product.
 
 #include "tensor/backend.h"
 
@@ -90,53 +91,7 @@ void matmul_fixed_width_x4(const float* __restrict a, const float* __restrict b,
   }
 }
 
-inline constexpr int kNarrowMaxK = 64;
-
-/// Narrow outputs (m <= 8): a single m-wide FMA chain per row is latency-
-/// bound, so process 32/m rows per pass against b replicated to width 32 —
-/// one full-width FMA stream with independent per-row lanes (~7x faster at
-/// m = 8 than the single-row kernel).
-template <int M>
-void matmul_fixed_narrow(const float* __restrict a, const float* __restrict b,
-                         float* __restrict out, int n, int k) {
-  constexpr int R = 32 / M;  // rows per vector pass
-  float brep[kNarrowMaxK * 32];
-  for (int kk = 0; kk < k; ++kk) {
-    for (int r = 0; r < R; ++r) {
-      for (int j = 0; j < M; ++j) brep[kk * 32 + r * M + j] = b[kk * M + j];
-    }
-  }
-  int i = 0;
-  for (; i + R <= n; i += R) {
-    float acc[32] = {};
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    for (int kk = 0; kk < k; ++kk) {
-      float av[32];
-      for (int r = 0; r < R; ++r) {
-        const float v = a0[static_cast<std::size_t>(r) * k + kk];
-        for (int j = 0; j < M; ++j) av[r * M + j] = v;
-      }
-      const float* brow = brep + kk * 32;
-      for (int j = 0; j < 32; ++j) acc[j] += av[j] * brow[j];
-    }
-    float* orow = out + static_cast<std::size_t>(i) * M;
-    for (int j = 0; j < R * M; ++j) orow[j] = acc[j];
-  }
-  if (i < n) {
-    matmul_fixed_width<M>(a + static_cast<std::size_t>(i) * k, b,
-                          out + static_cast<std::size_t>(i) * M, n - i, k);
-  }
-}
-
 void scalar_matmul(const float* a, const float* b, float* out, int n, int k, int m) {
-  if (k <= kNarrowMaxK) {
-    switch (m) {
-      case 2: return matmul_fixed_narrow<2>(a, b, out, n, k);
-      case 4: return matmul_fixed_narrow<4>(a, b, out, n, k);
-      case 8: return matmul_fixed_narrow<8>(a, b, out, n, k);
-      default: break;
-    }
-  }
   switch (m) {
     case 2: return matmul_fixed_width<2>(a, b, out, n, k);
     case 4: return matmul_fixed_width<4>(a, b, out, n, k);
@@ -638,9 +593,8 @@ unsigned gemm_thread_cap() {
 
 /// Where the blocked GEMM starts beating the legacy kernels: the packed
 /// panels cost two extra passes over A and B, so tiny products stay on the
-/// register-specialized paths, as do the narrow head matrices (m <= 8) whose
-/// replicated-B kernels the tile can't match. Thresholds picked by
-/// bench_gemm sweeps on the serving shapes.
+/// register-specialized paths, as do the narrow head matrices (m <= 8).
+/// Thresholds picked by bench_gemm sweeps on the serving shapes.
 bool gemm_profitable(int n, int k, int m) {
   if (m < 16 || n < 8 || k < 4) return false;
   return static_cast<std::size_t>(n) * static_cast<std::size_t>(k) *

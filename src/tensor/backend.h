@@ -47,10 +47,10 @@ struct Kernels {
   const char* name;
 
   /// Row-major [n,k] x [k,m] -> [n,m]; out is fully overwritten. The legacy
-  /// width-specialized register kernels: unbeatable on the narrow head
-  /// matrices (m <= 8, k <= 64) and cheap on small inputs, but neither
-  /// cache-blocked nor packed — prefer matmul_auto(), which routes large
-  /// shapes to `gemm`.
+  /// width-specialized register kernels: cheap on small inputs and on the
+  /// narrow head matrices (m <= 8), where each output row's bits are
+  /// independent of n, but neither cache-blocked nor packed — prefer
+  /// matmul_auto(), which routes large shapes to `gemm`.
   void (*matmul)(const float* a, const float* b, float* out, int n, int k, int m);
 
   /// Same contract as `matmul`, computed by the cache-blocked packed GEMM

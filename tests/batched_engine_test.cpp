@@ -3,18 +3,22 @@
 // and the parallel suggest pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/graph2par.h"
 #include "core/pipeline.h"
+#include "dataset/generator.h"
 #include "graph/hetgraph_index.h"
 #include "nn/hgt.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
+#include "tensor/backend.h"
 #include "tensor/ops.h"
 
 namespace g2p {
@@ -479,9 +483,92 @@ TEST(SuggestBatch, MatchesSequentialSuggest) {
       EXPECT_EQ(batched[s][i].suggested_pragma, sequential[i].suggested_pragma);
       EXPECT_EQ(batched[s][i].line, sequential[i].line);
       EXPECT_EQ(batched[s][i].function_name, sequential[i].function_name);
-      EXPECT_NEAR(batched[s][i].confidence, sequential[i].confidence, 1e-6);
+      EXPECT_EQ(std::memcmp(&batched[s][i].confidence, &sequential[i].confidence,
+                            sizeof(batched[s][i].confidence)),
+                0);
     }
   }
+}
+
+/// Every field of two suggestions, confidence compared bit for bit.
+void expect_identical(const LoopSuggestion& got, const LoopSuggestion& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.loop_source, want.loop_source) << what;
+  EXPECT_EQ(got.line, want.line) << what;
+  EXPECT_EQ(got.function_name, want.function_name) << what;
+  EXPECT_EQ(got.parallel, want.parallel) << what;
+  EXPECT_EQ(std::memcmp(&got.confidence, &want.confidence, sizeof(got.confidence)), 0)
+      << what << ": confidence " << got.confidence << " vs " << want.confidence;
+  EXPECT_EQ(got.category, want.category) << what;
+  EXPECT_EQ(got.suggested_pragma, want.suggested_pragma) << what;
+  EXPECT_EQ(got.verdict, want.verdict) << what;
+  EXPECT_EQ(got.veto_reason, want.veto_reason) << what;
+  EXPECT_EQ(got.repaired_clauses, want.repaired_clauses) << what;
+}
+
+TEST(SuggestBatch, LoopSuggestionIsIndependentOfItsBatch) {
+  // A loop must get the same bits whether it is served by `suggest`, alone
+  // in a batch, or at any row of a batch big enough to be split into
+  // per-worker encode chunks and to fill the narrow head products.
+  Pipeline::Options options;
+  options.corpus.scale = 0.01;
+  options.train.epochs = 1;
+  options.cache_bytes = 0;   // every call runs the model
+  options.pool_threads = 4;  // a batch of >= 32 loops encodes as four chunks
+  const Pipeline pipeline = Pipeline::train(options);
+
+  GeneratorConfig fresh;
+  fresh.scale = 0.04;
+  fresh.seed = options.corpus.seed + 7;
+  std::vector<std::string> sources;
+  for (const auto& sample : CorpusGenerator(fresh).generate().samples) {
+    if (sources.size() == 40) break;
+    if (std::find(sources.begin(), sources.end(), sample.file_source) == sources.end()) {
+      sources.push_back(sample.file_source);
+    }
+  }
+  ASSERT_EQ(sources.size(), 40u);
+
+  const std::string entry_backend = backend::active_name();
+  for (const char* name : {"scalar", "avx2", "neon"}) {
+    if (backend::by_name(name) == nullptr) continue;
+    ASSERT_TRUE(backend::set_active(name));
+    std::vector<std::vector<LoopSuggestion>> want;
+    std::size_t loops = 0;
+    for (const auto& src : sources) {
+      want.push_back(pipeline.suggest(src));
+      loops += want.back().size();
+      const std::vector<std::string_view> alone = {src};
+      const auto single = pipeline.suggest_batch_results(alone);
+      ASSERT_TRUE(single[0].ok());
+      ASSERT_EQ(single[0].suggestions.size(), want.back().size());
+      for (std::size_t i = 0; i < want.back().size(); ++i) {
+        expect_identical(single[0].suggestions[i], want.back()[i],
+                         std::string(name) + " alone, loop " + std::to_string(i));
+      }
+    }
+    ASSERT_GE(loops, 32u);
+
+    // Rotations move every loop to other rows, chunks and head-row groups.
+    for (const std::size_t shift : {0u, 5u, 11u, 17u, 29u}) {
+      std::vector<std::string_view> batch;
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        batch.push_back(sources[(s + shift) % sources.size()]);
+      }
+      const auto results = pipeline.suggest_batch_results(batch);
+      for (std::size_t s = 0; s < batch.size(); ++s) {
+        const auto& expected = want[(s + shift) % sources.size()];
+        ASSERT_TRUE(results[s].ok());
+        ASSERT_EQ(results[s].suggestions.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          expect_identical(results[s].suggestions[i], expected[i],
+                           std::string(name) + " shift " + std::to_string(shift) + ", slot " +
+                               std::to_string(s) + ", loop " + std::to_string(i));
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(backend::set_active(entry_backend));
 }
 
 TEST(SuggestBatch, EmptyInputAndParseErrors) {

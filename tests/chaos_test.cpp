@@ -77,9 +77,9 @@ std::vector<std::string> chaos_sources(int count) {
   return out;
 }
 
-/// Bitwise equality — the chaos invariant is stronger than the usual 1e-5
-/// serving-equivalence gate: a fault-free request must be *indistinguishable*
-/// from a run without injection, so confidence is compared bit-for-bit.
+/// Bitwise equality — the chaos invariant: a fault-free request must be
+/// *indistinguishable* from a run without injection, so confidence is
+/// compared bit-for-bit (all eight bytes of the double).
 void expect_bitwise(const std::vector<LoopSuggestion>& got,
                     const std::vector<LoopSuggestion>& want, const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
@@ -88,7 +88,8 @@ void expect_bitwise(const std::vector<LoopSuggestion>& got,
     EXPECT_EQ(got[i].category, want[i].category) << what << " loop " << i;
     EXPECT_EQ(got[i].suggested_pragma, want[i].suggested_pragma) << what << " loop " << i;
     EXPECT_EQ(got[i].line, want[i].line) << what << " loop " << i;
-    EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(float)), 0)
+    EXPECT_EQ(
+        std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(got[i].confidence)), 0)
         << what << " loop " << i << ": confidence " << got[i].confidence << " vs "
         << want[i].confidence;
   }

@@ -7,11 +7,13 @@
 // with the single-thread kernel (row panels never change an element's
 // reduction order) including when invoked from one of the pool's own
 // workers (the re-entrancy case), and matmul_auto must match whichever
-// kernel it routes to.
+// kernel it routes to. Narrow products (the task-head shapes, m <= 8) must
+// also give each row the same bits whatever the number of rows around it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -120,6 +122,47 @@ TEST(Gemm, MatmulAutoMatchesNaive) {
       EXPECT_LE(max_rel_diff(got, want), kTol)
           << name << " matmul_auto [" << s.n << "," << s.k << "]x[" << s.k << "," << s.m
           << "]";
+    }
+  }
+  ASSERT_TRUE(backend::set_active(entry_backend));
+}
+
+TEST(Gemm, NarrowRowsAreIndependentOfBatchSize) {
+  // The task heads are [n_loops, dim] x [dim, 2] products; a served loop's
+  // confidence must not depend on how many loops share its batch. So row i
+  // of an n-row narrow product must be bitwise the product of row i alone,
+  // for every n and every position of i, on every backend table.
+  Rng rng(20231019);
+  const std::string entry_backend = backend::active_name();
+  constexpr int kMaxRows = 40;
+  for (const auto& name : dispatchable_backends()) {
+    ASSERT_TRUE(backend::set_active(name));
+    for (const int m : {2, 4, 8}) {
+      for (const int k : {7, 32, 64}) {
+        const auto a = random_values(rng, static_cast<std::size_t>(kMaxRows) * k);
+        const auto b = random_values(rng, static_cast<std::size_t>(k) * m);
+        std::vector<float> alone(static_cast<std::size_t>(kMaxRows) * m);
+        for (int i = 0; i < kMaxRows; ++i) {
+          backend::matmul_auto(a.data() + static_cast<std::size_t>(i) * k, b.data(),
+                               alone.data() + static_cast<std::size_t>(i) * m, 1, k, m);
+        }
+        int differing_rows = 0;
+        std::string first;
+        for (int n = 1; n <= kMaxRows; ++n) {
+          std::vector<float> batch(static_cast<std::size_t>(n) * m, 1e30f);
+          backend::matmul_auto(a.data(), b.data(), batch.data(), n, k, m);
+          for (int i = 0; i < n; ++i) {
+            const std::size_t off = static_cast<std::size_t>(i) * m;
+            if (std::memcmp(batch.data() + off, alone.data() + off, m * sizeof(float)) != 0) {
+              if (differing_rows++ == 0) {
+                first = "n=" + std::to_string(n) + " row " + std::to_string(i);
+              }
+            }
+          }
+        }
+        EXPECT_EQ(differing_rows, 0)
+            << name << " [n," << k << "]x[" << k << "," << m << "]: first at " << first;
+      }
     }
   }
   ASSERT_TRUE(backend::set_active(entry_backend));

@@ -71,7 +71,8 @@ void expect_bitwise(const std::vector<LoopSuggestion>& got,
     EXPECT_EQ(got[i].parallel, want[i].parallel) << what << " loop " << i;
     EXPECT_EQ(got[i].category, want[i].category) << what << " loop " << i;
     EXPECT_EQ(got[i].suggested_pragma, want[i].suggested_pragma) << what << " loop " << i;
-    EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(float)), 0)
+    EXPECT_EQ(
+        std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(got[i].confidence)), 0)
         << what << " loop " << i;
   }
 }

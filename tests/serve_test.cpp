@@ -75,8 +75,9 @@ void expect_equivalent(const std::vector<LoopSuggestion>& got,
     EXPECT_EQ(got[i].category, want[i].category) << what << " loop " << i;
     EXPECT_EQ(got[i].suggested_pragma, want[i].suggested_pragma) << what << " loop " << i;
     EXPECT_EQ(got[i].line, want[i].line) << what << " loop " << i;
-    // Same tolerance as bench/throughput_batched.cpp's equivalence gate.
-    EXPECT_NEAR(got[i].confidence, want[i].confidence, 1e-5) << what << " loop " << i;
+    // Exact, like bench/throughput_batched.cpp's equivalence gate: a loop's
+    // confidence does not depend on its batch-mates.
+    EXPECT_EQ(got[i].confidence, want[i].confidence) << what << " loop " << i;
   }
 }
 
@@ -413,7 +414,8 @@ void expect_bitwise_suggestions(const std::vector<LoopSuggestion>& got,
     EXPECT_EQ(got[i].category, want[i].category) << what << " loop " << i;
     EXPECT_EQ(got[i].suggested_pragma, want[i].suggested_pragma) << what << " loop " << i;
     EXPECT_EQ(got[i].line, want[i].line) << what << " loop " << i;
-    EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(float)), 0)
+    EXPECT_EQ(
+        std::memcmp(&got[i].confidence, &want[i].confidence, sizeof(got[i].confidence)), 0)
         << what << " loop " << i << ": confidence " << got[i].confidence << " vs "
         << want[i].confidence;
   }

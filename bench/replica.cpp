@@ -209,6 +209,11 @@ int main(int argc, char** argv) {
   producer.join();
   const auto stats = set->stats();
   set->shutdown();
+  // Stamp the header while the measured stream's schedule is still armed:
+  // the rollout gate below runs clean, and an injected run must not record
+  // `failpoints: ""`.
+  bench::JsonMetrics json;
+  bench::set_common_header(json, "replica");
   failpoint::disarm();
 
   const std::size_t shed_total = admission_shed.load() + ladder_shed;
@@ -325,8 +330,6 @@ int main(int argc, char** argv) {
   }
   std::printf("availability %.4f (floor %.4f)\n", availability, floor);
 
-  bench::JsonMetrics json;
-  bench::set_common_header(json, "replica");
   json.set("replicas", static_cast<std::int64_t>(replicas));
   json.set("requests", static_cast<std::int64_t>(num_requests));
   json.set("completed", static_cast<std::int64_t>(completed));

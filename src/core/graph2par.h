@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 
 #include "core/aug_ast.h"
 #include "graph/hetgraph.h"
@@ -60,13 +59,6 @@ class Graph2ParModel : public Module {
 
   /// Logits [num_graphs, 2] for one task head.
   Tensor task_logits(const Tensor& pooled, PredictionTask task) const;
-
-  /// Worker pool for the fused forward's projection GEMMs (see HgtLayer):
-  /// the encoder's K/Q/V/A stages fan row panels across it, so a single
-  /// batch-shaped forward scales across cores. Null pins them to one thread.
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-    encoder_.set_thread_pool(std::move(pool));
-  }
 
   const Graph2ParConfig& config() const { return config_; }
 

@@ -132,11 +132,6 @@ Pipeline::Pipeline(Options options, Vocab vocab)
   Rng rng(options_.train.seed);
   model_ = std::make_unique<Graph2ParModel>(options_.model, rng);
   cache_ = std::make_unique<SuggestCache>(options_.cache_bytes);
-  if (options_.pool_threads > 0) pool_ = std::make_shared<ThreadPool>(options_.pool_threads);
-  // The encoder's projection GEMMs fan row panels across the serving pool
-  // (single big forwards scale across cores; nested calls from pool workers
-  // run inline, so per-chunk encodes are unaffected).
-  model_->set_thread_pool(shared_pool());
 }
 
 Pipeline::Pipeline(Pipeline&& other) noexcept
@@ -173,18 +168,7 @@ ThreadPool& Pipeline::pool() const {
   return *shared;
 }
 
-std::shared_ptr<ThreadPool> Pipeline::shared_pool() const {
-  if (pool_) return pool_;
-  return std::shared_ptr<ThreadPool>(&pool(), [](ThreadPool*) {});
-}
-
-void Pipeline::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  if (!pool && options_.pool_threads > 0) {
-    pool = std::make_shared<ThreadPool>(options_.pool_threads);
-  }
-  pool_ = std::move(pool);
-  model_->set_thread_pool(shared_pool());
-}
+void Pipeline::set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
 Pipeline Pipeline::train(const Options& options) {
   const Corpus corpus = CorpusGenerator(options.corpus).generate();

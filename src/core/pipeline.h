@@ -37,10 +37,6 @@ class Pipeline {
     Graph2ParConfig model;       // vocab_size is filled in automatically
     TrainConfig train;
     AugAstOptions aug;           // full aug-AST by default
-    /// Worker threads for the batched serving path. 0 keeps the process-wide
-    /// shared default pool (hardware-sized); nonzero gives this pipeline a
-    /// private pool of that size. `set_thread_pool` overrides either.
-    unsigned pool_threads = 0;
     /// Byte budget of the content-addressed serving cache (two LRU tiers:
     /// rendered results + frontend artifacts). 0 disables caching.
     std::size_t cache_bytes = 64u << 20;
@@ -144,8 +140,9 @@ class Pipeline {
   /// Clone this pipeline for replicated serving: identical options, vocab,
   /// and weights (bitwise — the copy travels through the lossless binary
   /// checkpoint format), but a fresh empty cache, its own model stamp, and
-  /// its own pool selection. Replicas therefore serve bitwise-identical
-  /// suggestions while failing independently.
+  /// the shared default pool until `set_thread_pool` gives it one. Replicas
+  /// therefore serve bitwise-identical suggestions while failing
+  /// independently.
   Pipeline clone() const;
 
   /// Identity of this pipeline inside a ReplicaSet (-1 when standalone).
@@ -154,9 +151,12 @@ class Pipeline {
   int replica_id() const { return replica_id_; }
   void set_replica_id(int id) { replica_id_ = id; }
 
-  /// Replace the worker pool used by `suggest_batch*`. Null restores the
-  /// behavior selected by Options::pool_threads. A server injects its own
-  /// pool here so serving concurrency is owned by the server, not a global.
+  /// Replace the worker pool used by `suggest_batch*`; null restores the
+  /// process-wide shared default pool (hardware-sized). A server injects
+  /// its own pool here so serving concurrency is owned by the server, not a
+  /// global. This pool is the only place serving threads come from: the
+  /// frontend, per-worker encode sub-batches and render fan out over it,
+  /// while the model and every tensor kernel run single-threaded.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool);
 
   /// Whether serving actually verifies: Options::verify_suggestions unless
@@ -190,10 +190,6 @@ class Pipeline {
   Pipeline(Options options, Vocab vocab);
 
   ThreadPool& pool() const;
-  /// The pool as a shareable handle (non-owning for the process-wide
-  /// default, which is intentionally leaked) — handed to the model so the
-  /// encoder's projection GEMMs fan out over serving workers.
-  std::shared_ptr<ThreadPool> shared_pool() const;
 
   Options options_;
   Vocab vocab_;

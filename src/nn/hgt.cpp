@@ -278,7 +278,6 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
   const int ld = 3 * dim_;  // row stride of the interleaved K|Q|V buffer
   const std::size_t row_elems = static_cast<std::size_t>(n) * dim_sz;
   const float* xdata = x.data().data();
-  ThreadPool* const pool = pool_.get();
   // One node type's projection: its `rt` contiguous [dim] rows at `in`
   // times the cached [dim, cols] operand, written in place to `out` (row
   // stride cols), with `bias` added in the same pass and, when `res` is set,
@@ -287,7 +286,7 @@ Tensor HgtLayer::forward_fused(const Tensor& x, const HetGraphIndex& index) cons
                            int cols, float* out, const float* res) {
     const auto cols_sz = static_cast<std::size_t>(cols);
     const float* b = bias.data();
-    backend::matmul_mt(in, w.data(), out, rt, dim_, cols, pool);
+    backend::matmul_auto(in, w.data(), out, rt, dim_, cols);
     for (int r = 0; r < rt; ++r) {
       float* orow = out + static_cast<std::size_t>(r) * cols_sz;
       if (res != nullptr) {
@@ -470,10 +469,6 @@ Tensor HgtEncoder::forward(const Tensor& x, const HetGraph& graph) const {
 
 void HgtEncoder::set_fused_inference(bool enabled) {
   for (auto& layer : layers_) layer->set_fused_inference(enabled);
-}
-
-void HgtEncoder::set_thread_pool(std::shared_ptr<ThreadPool> pool) {
-  for (auto& layer : layers_) layer->set_thread_pool(pool);
 }
 
 }  // namespace g2p

@@ -29,8 +29,6 @@
 
 namespace g2p {
 
-class ThreadPool;
-
 class HgtLayer : public Module {
  public:
   HgtLayer(int dim, int heads, Rng& rng);
@@ -77,13 +75,6 @@ class HgtLayer : public Module {
   /// Enable/disable fused-kernel routing for this layer (default on).
   void set_fused_inference(bool enabled) { fused_enabled_ = enabled; }
   bool fused_inference() const { return fused_enabled_; }
-
-  /// Worker pool for the fused forward's projection GEMMs (matmul_mt row
-  /// panels) — batch-shaped forwards scale across cores with it, null runs
-  /// them single-threaded. Nested use is safe: on a pool worker the panels
-  /// run inline. Not thread-safe against concurrent forwards (configure at
-  /// setup, like set_fused_inference).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool) { pool_ = std::move(pool); }
 
   int dim() const { return dim_; }
   int heads() const { return heads_; }
@@ -134,7 +125,6 @@ class HgtLayer : public Module {
   mutable std::vector<std::unique_ptr<const FusedWeights>> fused_retired_;
   mutable std::atomic<const FusedWeights*> fused_current_{nullptr};
   bool fused_enabled_ = true;
-  std::shared_ptr<ThreadPool> pool_;  // null: single-threaded projections
 
   /// Apply the per-type linear `lins[type]` to the rows of each type (slot
   /// ranges) and reassemble a full [N, dim] tensor in slot order.
@@ -164,9 +154,6 @@ class HgtEncoder : public Module {
 
   /// Propagate fused-inference routing to every layer (see HgtLayer).
   void set_fused_inference(bool enabled);
-
-  /// Propagate the projection-GEMM worker pool to every layer (see HgtLayer).
-  void set_thread_pool(std::shared_ptr<ThreadPool> pool);
 
  private:
   std::vector<std::unique_ptr<HgtLayer>> layers_;

@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "support/thread_pool.h"
 #include "tensor/fastmath.h"
 #include "tensor/gemm_blocked.h"
 
@@ -57,17 +56,21 @@ void matmul_fixed_width(const float* __restrict a, const float* __restrict b,
 }
 
 /// Four output rows in flight — independent FMA chains hide the multiply-add
-/// latency that serializes the single-row kernel.
+/// latency that serializes the single-row kernel. A last group of fewer than
+/// four rows runs the same loop body, its missing rows aliased to its first
+/// row and their results dropped: every row is computed by the same
+/// instructions, so its bits do not depend on n (a separate tail kernel may
+/// be compiled with different FMA contraction).
 template <int M>
 void matmul_fixed_width_x4(const float* __restrict a, const float* __restrict b,
                            float* __restrict out, int n, int k) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
+  for (int i = 0; i < n; i += 4) {
+    const int rows = std::min(4, n - i);
     float acc0[M] = {}, acc1[M] = {}, acc2[M] = {}, acc3[M] = {};
     const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+    const float* a1 = rows > 1 ? a0 + k : a0;
+    const float* a2 = rows > 2 ? a1 + k : a0;
+    const float* a3 = rows > 3 ? a2 + k : a0;
     for (int kk = 0; kk < k; ++kk) {
       const float* brow = b + static_cast<std::size_t>(kk) * M;
       const float v0 = a0[kk], v1 = a1[kk], v2 = a2[kk], v3 = a3[kk];
@@ -81,13 +84,9 @@ void matmul_fixed_width_x4(const float* __restrict a, const float* __restrict b,
     }
     float* orow = out + static_cast<std::size_t>(i) * M;
     for (int j = 0; j < M; ++j) orow[j] = acc0[j];
-    for (int j = 0; j < M; ++j) orow[M + j] = acc1[j];
-    for (int j = 0; j < M; ++j) orow[2 * M + j] = acc2[j];
-    for (int j = 0; j < M; ++j) orow[3 * M + j] = acc3[j];
-  }
-  if (i < n) {
-    matmul_fixed_width<M>(a + static_cast<std::size_t>(i) * k, b,
-                          out + static_cast<std::size_t>(i) * M, n - i, k);
+    if (rows > 1) for (int j = 0; j < M; ++j) orow[M + j] = acc1[j];
+    if (rows > 2) for (int j = 0; j < M; ++j) orow[2 * M + j] = acc2[j];
+    if (rows > 3) for (int j = 0; j < M; ++j) orow[3 * M + j] = acc3[j];
   }
 }
 
@@ -567,30 +566,6 @@ bool set_active(std::string_view name) {
 
 namespace {
 
-/// G2P_GEMM=0/off pins matmul_auto to the legacy kernels. Read once.
-bool gemm_env_enabled() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("G2P_GEMM");
-    if (e == nullptr) return true;
-    const std::string_view v(e);
-    return v != "0" && v != "off" && v != "false";
-  }();
-  return enabled;
-}
-
-/// G2P_GEMM_THREADS caps the matmul_mt fan-out (<= 0 / unset: no cap beyond
-/// the pool's width). Read once.
-unsigned gemm_thread_cap() {
-  static const unsigned cap = [] {
-    if (const char* e = std::getenv("G2P_GEMM_THREADS")) {
-      const int v = std::atoi(e);
-      if (v > 0) return static_cast<unsigned>(v);
-    }
-    return 0u;
-  }();
-  return cap;
-}
-
 /// Where the blocked GEMM starts beating the legacy kernels: the packed
 /// panels cost two extra passes over A and B, so tiny products stay on the
 /// register-specialized paths, as do the narrow head matrices (m <= 8).
@@ -606,43 +581,7 @@ bool gemm_profitable(int n, int k, int m) {
 
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m) {
   const Kernels& kern = active();
-  if (gemm_env_enabled() && gemm_profitable(n, k, m)) {
-    kern.gemm(a, b, out, n, k, m);
-  } else {
-    kern.matmul(a, b, out, n, k, m);
-  }
-}
-
-void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
-               ThreadPool* pool) {
-  // Row panels of at least this many rows per worker: below that the
-  // per-chunk B re-pack and queue round trip outweigh the parallelism.
-  constexpr int kMinRowsPerChunk = 64;
-  std::size_t chunks = pool != nullptr ? pool->size() : 1;
-  if (const unsigned cap = gemm_thread_cap(); cap != 0) {
-    chunks = std::min<std::size_t>(chunks, cap);
-  }
-  chunks = std::min<std::size_t>(chunks, static_cast<std::size_t>(n) / kMinRowsPerChunk);
-  if (chunks <= 1) {
-    matmul_auto(a, b, out, n, k, m);
-    return;
-  }
-  // Pick the kernel once, on the FULL shape: re-running the heuristic on
-  // each chunk's smaller n could route chunks to the other kernel, whose
-  // rounding differs in the last ulps — breaking the bitwise
-  // single-vs-threaded guarantee.
-  const Kernels& kern = active();
-  const auto kernel = gemm_env_enabled() && gemm_profitable(n, k, m) ? kern.gemm : kern.matmul;
-  const std::size_t per_chunk =
-      (static_cast<std::size_t>(n) + chunks - 1) / chunks;
-  pool->parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    if (begin >= static_cast<std::size_t>(n)) return;
-    const std::size_t rows =
-        std::min(per_chunk, static_cast<std::size_t>(n) - begin);
-    kernel(a + begin * static_cast<std::size_t>(k), b,
-           out + begin * static_cast<std::size_t>(m), static_cast<int>(rows), k, m);
-  });
+  (gemm_profitable(n, k, m) ? kern.gemm : kern.matmul)(a, b, out, n, k, m);
 }
 
 }  // namespace g2p::backend

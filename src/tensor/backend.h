@@ -22,23 +22,12 @@
 //     "auto" picks the best table the CPU supports; naming an unavailable
 //     backend falls back to auto with a stderr note. Read once, at the first
 //     call to active().
-//   G2P_GEMM = 1 (default) | 0 | off
-//     Opt-out for the cache-blocked packed GEMM: when disabled, matmul_auto
-//     always takes the legacy width-specialized `matmul` kernels (A-B
-//     debugging, perf bisection). Read once.
-//   G2P_GEMM_THREADS = unset (default: the pool's width) | N
-//     Caps how many workers matmul_mt fans a GEMM out over; 1 pins the
-//     threaded entry point to the single-thread kernel. Read once.
 //   G2P_FAILPOINTS = site=action[@p[,seed]][;...] (fault injection into the
 //     serving path, including this layer's pool.acquire seam; grammar in
 //     support/failpoint.h, semantics in docs/serving.md).
 #pragma once
 
 #include <string_view>
-
-namespace g2p {
-class ThreadPool;
-}
 
 namespace g2p::backend {
 
@@ -48,9 +37,11 @@ struct Kernels {
 
   /// Row-major [n,k] x [k,m] -> [n,m]; out is fully overwritten. The legacy
   /// width-specialized register kernels: cheap on small inputs and on the
-  /// narrow head matrices (m <= 8), where each output row's bits are
-  /// independent of n, but neither cache-blocked nor packed — prefer
-  /// matmul_auto(), which routes large shapes to `gemm`.
+  /// narrow head matrices (m <= 8), but neither cache-blocked nor packed —
+  /// prefer matmul_auto(), which routes large shapes to `gemm`. At the
+  /// widths the model runs, each output row's bits are independent of n and
+  /// equal to `gemm`'s, so that routing never changes a row
+  /// (gemm_test's NarrowRowsAreIndependentOfBatchSize).
   void (*matmul)(const float* a, const float* b, float* out, int n, int k, int m);
 
   /// Same contract as `matmul`, computed by the cache-blocked packed GEMM
@@ -162,22 +153,13 @@ bool set_active(std::string_view name);
 /// The table `name` resolves to on this machine, or nullptr if unavailable.
 const Kernels* by_name(std::string_view name);
 
-/// Single-thread matmul with automatic kernel selection on the active table:
-/// the blocked/packed `gemm` when the shape is large enough to amortize
-/// panel packing, the legacy width-specialized `matmul` kernels otherwise
-/// (always, under G2P_GEMM=0). This is what the autograd forward kernels
-/// (ops.cpp) call.
+/// Matmul with automatic kernel selection on the active table, by shape
+/// alone: the blocked/packed `gemm` when the shape is large enough to
+/// amortize panel packing, the legacy width-specialized `matmul` kernels
+/// otherwise. Single-threaded, like every kernel here: the caller's
+/// ThreadPool spreads whole sub-batches, never the rows of one product.
+/// This is what the autograd forward kernels (ops.cpp) and the fused HGT
+/// projections call.
 void matmul_auto(const float* a, const float* b, float* out, int n, int k, int m);
-
-/// Multithreaded matmul: splits the row dimension into per-worker panels on
-/// `pool` and runs the active table's kernel (via matmul_auto) on each slice
-/// concurrently. Output is identical to the single-thread kernel — row
-/// panels don't change any element's reduction order. Null pool, a
-/// single-thread pool, tiny n, or G2P_GEMM_THREADS=1 degrade to one inline
-/// matmul_auto call. Re-entrancy-safe: called from one of `pool`'s own
-/// workers, parallel_for runs the slices inline (no deadlock at
-/// saturation), so nested use under a parallel encode is harmless.
-void matmul_mt(const float* a, const float* b, float* out, int n, int k, int m,
-               ThreadPool* pool);
 
 }  // namespace g2p::backend

@@ -513,9 +513,10 @@ TEST(SuggestBatch, LoopSuggestionIsIndependentOfItsBatch) {
   Pipeline::Options options;
   options.corpus.scale = 0.01;
   options.train.epochs = 1;
-  options.cache_bytes = 0;   // every call runs the model
-  options.pool_threads = 4;  // a batch of >= 32 loops encodes as four chunks
-  const Pipeline pipeline = Pipeline::train(options);
+  options.cache_bytes = 0;  // every call runs the model
+  Pipeline pipeline = Pipeline::train(options);
+  // A batch of >= 32 loops encodes as four chunks.
+  pipeline.set_thread_pool(std::make_shared<ThreadPool>(4));
 
   GeneratorConfig fresh;
   fresh.scale = 0.04;

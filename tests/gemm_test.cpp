@@ -1,14 +1,12 @@
-// Blocked/packed/threaded GEMM vs the scalar reference semantics.
+// Blocked/packed GEMM vs the scalar reference semantics.
 //
 // Kernels::gemm must agree with a naive ascending-k triple loop on every
 // shape — including the ragged edges the blocking logic can mishandle
 // (n = 0, k = 0/1, odd m, partial MR/NR tiles, KC-crossing depths) — on
-// every backend table this machine can dispatch to. matmul_mt must agree
-// with the single-thread kernel (row panels never change an element's
-// reduction order) including when invoked from one of the pool's own
-// workers (the re-entrancy case), and matmul_auto must match whichever
-// kernel it routes to. Narrow products (the task-head shapes, m <= 8) must
-// also give each row the same bits whatever the number of rows around it.
+// every backend table this machine can dispatch to, and matmul_auto must
+// match whichever kernel it routes to. Every product width the model runs
+// (the task heads' m <= 8 and the per-type projections' 32 / 96) must also
+// give each row the same bits whatever the number of rows around it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "tensor/backend.h"
 #include "tensor/tensor.h"
 
@@ -128,16 +125,18 @@ TEST(Gemm, MatmulAutoMatchesNaive) {
 }
 
 TEST(Gemm, NarrowRowsAreIndependentOfBatchSize) {
-  // The task heads are [n_loops, dim] x [dim, 2] products; a served loop's
-  // confidence must not depend on how many loops share its batch. So row i
-  // of an n-row narrow product must be bitwise the product of row i alone,
-  // for every n and every position of i, on every backend table.
+  // The task heads are [n_loops, dim] x [dim, 2] products and the per-type
+  // projections [rows_of_type, dim] x [dim, 3*dim or dim] ones; a served
+  // loop's answer must not depend on how many loops share its batch. So
+  // row i of an n-row product must be bitwise the product of row i alone,
+  // for every n and every position of i, on every backend table — also
+  // past the row count where matmul_auto switches to the blocked `gemm`.
   Rng rng(20231019);
   const std::string entry_backend = backend::active_name();
-  constexpr int kMaxRows = 40;
+  constexpr int kMaxRows = 64;
   for (const auto& name : dispatchable_backends()) {
     ASSERT_TRUE(backend::set_active(name));
-    for (const int m : {2, 4, 8}) {
+    for (const int m : {2, 4, 8, 16, 32, 64, 96}) {
       for (const int k : {7, 32, 64}) {
         const auto a = random_values(rng, static_cast<std::size_t>(kMaxRows) * k);
         const auto b = random_values(rng, static_cast<std::size_t>(k) * m);
@@ -166,55 +165,6 @@ TEST(Gemm, NarrowRowsAreIndependentOfBatchSize) {
     }
   }
   ASSERT_TRUE(backend::set_active(entry_backend));
-}
-
-TEST(Gemm, ThreadedMatchesSingleThread) {
-  Rng rng(99);
-  ThreadPool pool(3);
-  // Shapes above and below the per-chunk minimum: small ones degrade to the
-  // inline single-thread call, large ones actually fan out.
-  const GemmShape shapes[] = {{5, 8, 16}, {200, 32, 96}, {1024, 64, 256}, {257, 16, 40}};
-  for (const auto& s : shapes) {
-    const auto a = random_values(rng, static_cast<std::size_t>(s.n) * s.k);
-    const auto b = random_values(rng, static_cast<std::size_t>(s.k) * s.m);
-    std::vector<float> single(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_auto(a.data(), b.data(), single.data(), s.n, s.k, s.m);
-    std::vector<float> threaded(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_mt(a.data(), b.data(), threaded.data(), s.n, s.k, s.m, &pool);
-    // Row panels shift no element's reduction order: bitwise equality.
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      ASSERT_EQ(threaded[i], single[i])
-          << "row-panel split changed element " << i << " of [" << s.n << "," << s.k
-          << "]x[" << s.k << "," << s.m << "]";
-    }
-    // Null pool degrades to the inline call.
-    std::vector<float> no_pool(static_cast<std::size_t>(s.n) * s.m, 1e30f);
-    backend::matmul_mt(a.data(), b.data(), no_pool.data(), s.n, s.k, s.m, nullptr);
-    for (std::size_t i = 0; i < single.size(); ++i) ASSERT_EQ(no_pool[i], single[i]);
-  }
-}
-
-TEST(Gemm, ThreadedIsReentrantUnderParallelFor) {
-  Rng rng(1234);
-  ThreadPool pool(3);
-  const int n = 300, k = 32, m = 96;
-  const auto a = random_values(rng, static_cast<std::size_t>(n) * k);
-  const auto b = random_values(rng, static_cast<std::size_t>(k) * m);
-  std::vector<float> single(static_cast<std::size_t>(n) * m);
-  backend::matmul_auto(a.data(), b.data(), single.data(), n, k, m);
-
-  // matmul_mt from the pool's own workers (the serving topology: encode
-  // chunks run on the pool, each chunk's projections call matmul_mt with
-  // that same pool) must run inline, not deadlock.
-  constexpr int kConcurrent = 6;
-  std::vector<std::vector<float>> outs(
-      kConcurrent, std::vector<float>(static_cast<std::size_t>(n) * m, 1e30f));
-  pool.parallel_for(kConcurrent, [&](std::size_t i) {
-    backend::matmul_mt(a.data(), b.data(), outs[i].data(), n, k, m, &pool);
-  });
-  for (const auto& out : outs) {
-    for (std::size_t i = 0; i < single.size(); ++i) ASSERT_EQ(out[i], single[i]);
-  }
 }
 
 TEST(Gemm, PackedPanelScratchIsAligned) {

@@ -346,7 +346,6 @@ TEST(SuggestServer, SuggestBatchRunsOnItsOwnPoolThreads) {
   Pipeline::Options options;
   options.corpus.scale = 0.01;
   options.train.epochs = 1;
-  options.pool_threads = 2;
   auto pipeline = std::make_shared<Pipeline>(Pipeline::train(options));
 
   auto pool = std::make_shared<ThreadPool>(2);
